@@ -9,7 +9,6 @@ with a benchmark harness and CLI.
 """
 
 from .coupling import (
-    TripleProductTable,
     nonzero_n_range,
     triple_product,
     triple_product_rows,
@@ -24,6 +23,7 @@ from .estimator import (
     recovery_matrix,
 )
 from .filtering import (
+    FilterDiagnostics,
     JointFilter,
     SpectralCovariance,
     apply_filter,
@@ -33,7 +33,6 @@ from .filtering import (
 )
 from .pipeline import (
     BenchmarkResult,
-    DenoiseDiagnostics,
     ExperimentConfig,
     NoiseModel,
     benchmark,
@@ -51,7 +50,6 @@ from .slepian import (
     SlepianResult,
     SphericalEllipse,
     concentration_kernel,
-    region_contains,
     slepian_window,
 )
 from .so3 import (
@@ -80,9 +78,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkResult",
-    "DenoiseDiagnostics",
     "DslshtRep",
     "ExperimentConfig",
+    "FilterDiagnostics",
     "JointFilter",
     "NoiseModel",
     "PolarCap",
@@ -93,7 +91,6 @@ __all__ = [
     "SphereGrid",
     "SphericalCoeffs",
     "SphericalEllipse",
-    "TripleProductTable",
     "WignerCoeffs",
     "apply_filter",
     "benchmark",
@@ -118,7 +115,6 @@ __all__ = [
     "normal_rhs",
     "psi_coeffs",
     "recovery_matrix",
-    "region_contains",
     "render_map",
     "rotate_coeffs",
     "slepian_window",

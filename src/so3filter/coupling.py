@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -261,41 +260,3 @@ def triple_product_block(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarra
         X[pos : pos + nn.size, col] = tv
         pos += nn.size
     return n_union, X
-
-
-@dataclass(frozen=True)
-class TripleProductTable:
-    """Eagerly built sparse table of triple products for small bandlimits.
-
-    Entries are keyed ``(n, p, q, u)``; combinations whose ``(l p v; 0 0 0)``
-    factor vanishes by parity are omitted (they are exactly zero).
-    """
-
-    lf: int
-    lh: int
-    entries: dict = field(repr=False)
-
-    @property
-    def lg(self) -> int:
-        return self.lf + self.lh - 1
-
-    @classmethod
-    def build(cls, lf: int, lh: int) -> "TripleProductTable":
-        if lf < 1 or lh < 1:
-            raise ValueError("bandlimits must be positive")
-        lg = lf + lh - 1
-        entries: dict[tuple[int, int, int, int], float] = {}
-        for u in range(lg * lg):
-            v, _ = degree_and_order(u)
-            for p in range(lh):
-                for q in range(-p, p + 1):
-                    nn, tv = triple_product_rows(p, q, u, lf)
-                    for n, t in zip(nn, tv):
-                        ell, _ = degree_and_order(int(n))
-                        if (ell + p + v) % 2:
-                            continue
-                        entries[(int(n), p, q, u)] = float(t)
-        return cls(lf, lh, entries)
-
-    def value(self, n: int, p: int, q: int, u: int) -> float:
-        return self.entries.get((n, p, q, u), 0.0)

@@ -54,21 +54,29 @@ def accumulate_component(
                 acc[nn] += w * nh[p, off + q] * tv
 
 
+def estimate_from_components(components, h: SphericalCoeffs, lf: int) -> SphericalCoeffs:
+    """Least-squares source estimate from the components ``nu(.; u)``.
+
+    ``components`` yields one ``(lh, 2lh-1, 2lh-1)`` cube per ``u`` in order;
+    it may be lazy, since each cube is used once and then dropped.
+    """
+    hh = float(np.sum(np.abs(h.data) ** 2))
+    if hh == 0.0:
+        raise ValueError("window must be nonzero")
+    hb_conj = np.conj(window_blocks(h))
+    acc = np.zeros(lf * lf, dtype=np.complex128)
+    for u, nu_u in enumerate(components):
+        accumulate_component(acc, u, nu_u, hb_conj, lf, h.bandlimit)
+    return SphericalCoeffs(lf, acc / (2.0 * math.pi * hh))
+
+
 def estimate_from_representation(
     rep: DslshtRep, h: SphericalCoeffs
 ) -> SphericalCoeffs:
     """Least-squares source estimate from a (filtered) representation."""
     if h.bandlimit != rep.lh:
         raise ValueError("window bandlimit does not match the representation")
-    hh = float(np.sum(np.abs(h.data) ** 2))
-    if hh == 0.0:
-        raise ValueError("window must be nonzero")
-    lf, lh = rep.lf, rep.lh
-    hb_conj = np.conj(window_blocks(h))
-    acc = np.zeros(lf * lf, dtype=np.complex128)
-    for u in range(rep.lg**2):
-        accumulate_component(acc, u, rep.data[u], hb_conj, lf, lh)
-    return SphericalCoeffs(lf, acc / (2.0 * math.pi * hh))
+    return estimate_from_components(rep.data, h, rep.lf)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ class SpectralCovariance:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("covariance matrix has non-finite entries")
         scale = max(1.0, float(np.abs(mat).max()))
         asym = float(np.abs(mat - mat.conj().T).max())
         if asym > 1e-12 * scale:
@@ -55,36 +57,61 @@ class SpectralCovariance:
 
 
 @dataclass(frozen=True)
-class JointFilter:
-    """Filter coefficients ``(zeta(.; u))^p_{q, k}`` plus per-block diagnostics.
+class FilterDiagnostics:
+    """Per ``(u, p)`` block diagnostics of a filter design.
 
-    ``zeta[u, p, q + lh - 1, k + lh - 1]`` stores the length ``2p+1`` solution
-    vector for each ``(p, q, u)``.  ``pinv_flag[u, p]`` marks blocks whose
-    solve fell back to the truncated pseudo-inverse; ``rank`` and ``cond``
-    describe the structurally nonempty core of each block.
+    ``pinv_flag[u, p]`` marks blocks whose solve fell back to the truncated
+    pseudo-inverse; ``rank`` and ``cond`` describe the structurally nonempty
+    core of each block.
     """
 
-    lh: int
-    lg: int
-    zeta: np.ndarray
     pinv_flag: np.ndarray
     rank: np.ndarray
     cond: np.ndarray
 
     def __post_init__(self):
-        expected = (self.lg**2, self.lh, 2 * self.lh - 1, 2 * self.lh - 1)
-        if self.zeta.shape != expected:
-            raise ValueError(f"expected zeta of shape {expected}")
-        for name in ("pinv_flag", "rank", "cond"):
-            if getattr(self, name).shape != (self.lg**2, self.lh):
-                raise ValueError(f"{name} must have shape (lg**2, lh)")
+        shape = self.pinv_flag.shape
+        if len(shape) != 2 or self.rank.shape != shape or self.cond.shape != shape:
+            raise ValueError("pinv_flag, rank and cond must share one (lg**2, lh) shape")
+
+    @classmethod
+    def zeros(cls, lg: int, lh: int) -> "FilterDiagnostics":
+        shape = (lg * lg, lh)
+        return cls(np.zeros(shape, dtype=bool), np.zeros(shape, dtype=np.int64), np.zeros(shape))
 
     @property
     def flagged_fraction(self) -> float:
         """Fraction of ``(p, q, u)`` slots whose block used the pseudo-inverse."""
-        weights = 2 * np.arange(self.lh) + 1
+        lh = self.pinv_flag.shape[1]
+        weights = 2 * np.arange(lh) + 1
         flagged = float((self.pinv_flag @ weights).sum())
-        return flagged / float(self.lg**2 * self.lh**2)
+        return flagged / float(self.pinv_flag.shape[0] * lh * lh)
+
+
+@dataclass(frozen=True)
+class JointFilter:
+    """Filter coefficients ``(zeta(.; u))^p_{q, k}`` plus per-block diagnostics.
+
+    ``zeta[u, p, q + lh - 1, k + lh - 1]`` stores the length ``2p+1`` solution
+    vector for each ``(p, q, u)``.
+    """
+
+    lh: int
+    lg: int
+    zeta: np.ndarray
+    diagnostics: FilterDiagnostics
+
+    # Shortcuts to the diagnostics arrays.
+    pinv_flag = property(lambda self: self.diagnostics.pinv_flag)
+    rank = property(lambda self: self.diagnostics.rank)
+    cond = property(lambda self: self.diagnostics.cond)
+
+    def __post_init__(self):
+        expected = (self.lg**2, self.lh, 2 * self.lh - 1, 2 * self.lh - 1)
+        if self.zeta.shape != expected:
+            raise ValueError(f"expected zeta of shape {expected}")
+        if self.pinv_flag.shape != (self.lg**2, self.lh):
+            raise ValueError("diagnostics must have shape (lg**2, lh)")
 
     def block(self, u: int, p: int) -> np.ndarray:
         """The ``(2p+1, 2p+1)`` coefficient block ``[q + p, k + p]`` at ``(u, p)``."""
@@ -122,48 +149,50 @@ def normal_rhs(p: int, q: int, u: int, cs: SpectralCovariance) -> np.ndarray:
     return M[0][q + p, :].copy()
 
 
-def _solve_block(A: np.ndarray, R: np.ndarray, keep: np.ndarray, rcond: float):
-    """Minimum-norm solve of ``A X = R`` on the structurally nonempty core.
-
-    Returns ``(X, rank, cond, flagged)``; rows/columns outside ``keep`` give
-    zero solution entries.
-    """
-    size = A.shape[0]
-    X = np.zeros((size, R.shape[1]), dtype=np.complex128)
-    if not keep.any():
-        return X, 0, math.inf, True
-    Ak = A[np.ix_(keep, keep)]
-    Ak = 0.5 * (Ak + Ak.conj().T)
-    w, V = np.linalg.eigh(Ak)
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        return X, 0, math.inf, True
-    pos = w > rcond * wmax
-    rank = int(pos.sum())
-    flagged = rank < int(keep.sum())
-    cond = wmax / float(w[0]) if w[0] > 0.0 else math.inf
-    Vp = V[:, pos]
-    Xk = Vp @ ((Vp.conj().T @ R[keep, :]) / w[pos][:, None])
-    X[keep, :] = Xk
-    return X, rank, cond, flagged
-
-
 def design_block(
     u: int, p: int, stacked: np.ndarray, lf: int, rcond: float
 ):
     """Solve every order ``q`` of one ``(p, u)`` block.
 
     ``stacked`` holds ``[Cs + Cz, Cs]``.  Returns the ``(2p+1, 2p+1)`` zeta
-    block indexed ``[q + p, k + p]`` plus ``(rank, cond, flagged)``.
+    block indexed ``[q + p, k + p]`` plus ``(rank, cond, flagged)``.  The
+    solve is minimum-norm on the structurally nonempty core; orders ``k``
+    outside it get zero coefficients.
     """
+    zeta = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
     M, keep = _gram_pair(p, u, stacked, lf)
-    if M is None:
-        return np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128), 0, math.inf, True
-    A = M[0].T.copy()
-    A = 0.5 * (A + A.conj().T)
-    R = M[1].T.copy()  # column q holds b(p, q, u)
-    X, rank, cond, flagged = _solve_block(A, R, keep, rcond)
-    return X.T.copy(), rank, cond, flagged
+    if M is None or not keep.any():
+        return zeta, 0, math.inf, True
+    A = M[0].T[np.ix_(keep, keep)]
+    w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
+    wmax = float(w[-1])
+    if wmax <= 0.0:
+        return zeta, 0, math.inf, True
+    pos = w > rcond * wmax
+    rank = int(pos.sum())
+    cond = wmax / float(w[0]) if w[0] > 0.0 else math.inf
+    Vp = V[:, pos]
+    R = M[1].T[keep, :]  # column q holds b(p, q, u)
+    zeta[:, keep] = (Vp @ ((Vp.conj().T @ R) / w[pos][:, None])).T
+    return zeta, rank, cond, rank < int(keep.sum())
+
+
+def design_component(
+    u: int, stacked: np.ndarray, lf: int, lh: int, rcond: float, diag: FilterDiagnostics
+) -> np.ndarray:
+    """Filter cube ``zeta(.; u)``, zero-padded to ``(lh, 2lh-1, 2lh-1)``.
+
+    ``stacked`` holds ``[Cs + Cz, Cs]``.  Row ``u`` of ``diag`` receives the
+    rank, condition and pseudo-inverse flag of every block.
+    """
+    off = lh - 1
+    cube = np.zeros((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
+    for p in range(lh):
+        sl = slice(off - p, off + p + 1)
+        cube[p, sl, sl], diag.rank[u, p], diag.cond[u, p], diag.pinv_flag[u, p] = (
+            design_block(u, p, stacked, lf, rcond)
+        )
+    return cube
 
 
 def design_filter(
@@ -185,19 +214,11 @@ def design_filter(
     lf = cs.bandlimit
     lg = lf + lh - 1
     stacked = np.stack([cs.matrix + cz.matrix, cs.matrix])
-    off = lh - 1
-    zeta = np.zeros((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-    flags = np.zeros((lg * lg, lh), dtype=bool)
-    ranks = np.zeros((lg * lg, lh), dtype=np.int64)
-    conds = np.zeros((lg * lg, lh))
+    diag = FilterDiagnostics.zeros(lg, lh)
+    zeta = np.empty((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
     for u in range(lg * lg):
-        for p in range(lh):
-            blk, rank, cond, flagged = design_block(u, p, stacked, lf, rcond)
-            zeta[u, p, off - p : off + p + 1, off - p : off + p + 1] = blk
-            flags[u, p] = flagged
-            ranks[u, p] = rank
-            conds[u, p] = cond
-    return JointFilter(lh, lg, zeta, flags, ranks, conds)
+        zeta[u] = design_component(u, stacked, lf, lh, rcond, diag)
+    return JointFilter(lh, lg, zeta, diag)
 
 
 def apply_filter(rep: DslshtRep, filt: JointFilter) -> DslshtRep:
@@ -207,11 +228,4 @@ def apply_filter(rep: DslshtRep, filt: JointFilter) -> DslshtRep:
     """
     if rep.lh != filt.lh or rep.lg != filt.lg:
         raise ValueError("representation and filter bandlimits differ")
-    out = np.empty_like(rep.data)
-    chunk = 512
-    for start in range(0, rep.data.shape[0], chunk):
-        stop = min(start + chunk, rep.data.shape[0])
-        out[start:stop] = np.einsum(
-            "upqk,upkr->upqr", filt.zeta[start:stop], rep.data[start:stop]
-        )
-    return DslshtRep(rep.lf, rep.lh, out)
+    return DslshtRep(rep.lf, rep.lh, filt.zeta @ rep.data)

@@ -13,20 +13,16 @@ Binary formats
   ``(u, p)`` block in order, by rank (int32 LE), condition (float64 LE),
   pseudo-inverse flag (uint8) and the raw ``(2p+1)**2`` complex128 block.
   Round-trips are bit exact.
-* Representation dump (debugging only, layout not guaranteed stable):
-  ASCII header ``dslsht v1 <lf> <lh>`` followed by the raw coefficient cube.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .dslsht import DslshtRep
-from .filtering import JointFilter, SpectralCovariance
+from .filtering import FilterDiagnostics, JointFilter, SpectralCovariance
 from .sphere import SphericalCoeffs
 
 
@@ -92,14 +88,12 @@ def read_covariance(path) -> SpectralCovariance:
 
 
 def write_filter(path, filt: JointFilter) -> None:
-    off = filt.lh - 1
     with open(path, "wb") as fh:
         fh.write(f"jfilt v1 {filt.lh} {filt.lg}\n".encode("ascii"))
         for u in range(filt.lg**2):
             for p in range(filt.lh):
                 fh.write(struct.pack("<id B", int(filt.rank[u, p]), float(filt.cond[u, p]), int(filt.pinv_flag[u, p])))
-                block = filt.zeta[u, p, off - p : off + p + 1, off - p : off + p + 1]
-                fh.write(np.ascontiguousarray(block, dtype="<c16").tobytes())
+                fh.write(np.ascontiguousarray(filt.block(u, p), dtype="<c16").tobytes())
 
 
 def read_filter(path) -> JointFilter:
@@ -108,51 +102,23 @@ def read_filter(path) -> JointFilter:
         if len(head) != 4 or head[0] != "jfilt" or head[1] != "v1":
             raise ValueError(f"{path}: bad filter header")
         lh, lg = int(head[2]), int(head[3])
-        off = lh - 1
         zeta = np.zeros((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-        flags = np.zeros((lg * lg, lh), dtype=bool)
-        ranks = np.zeros((lg * lg, lh), dtype=np.int64)
-        conds = np.zeros((lg * lg, lh))
+        filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
         rec = struct.Struct("<id B")
         for u in range(lg * lg):
             for p in range(lh):
                 raw = fh.read(rec.size)
                 if len(raw) != rec.size:
                     raise ValueError(f"{path}: truncated filter file")
-                rank, cond, flag = rec.unpack(raw)
-                ranks[u, p] = rank
-                conds[u, p] = cond
-                flags[u, p] = bool(flag)
+                filt.rank[u, p], filt.cond[u, p], filt.pinv_flag[u, p] = rec.unpack(raw)
                 nbytes = (2 * p + 1) ** 2 * 16
                 raw = fh.read(nbytes)
                 if len(raw) != nbytes:
                     raise ValueError(f"{path}: truncated filter file")
-                block = np.frombuffer(raw, dtype="<c16").reshape(2 * p + 1, 2 * p + 1)
-                zeta[u, p, off - p : off + p + 1, off - p : off + p + 1] = block
+                filt.block(u, p)[...] = np.frombuffer(raw, dtype="<c16").reshape(2 * p + 1, 2 * p + 1)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes in filter file")
-    return JointFilter(lh, lg, zeta, flags, ranks, conds)
-
-
-def write_dslsht(path, rep: DslshtRep) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"dslsht v1 {rep.lf} {rep.lh}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(rep.data, dtype="<c16").tobytes())
-
-
-def read_dslsht(path) -> DslshtRep:
-    with open(path, "rb") as fh:
-        head = fh.readline().decode("ascii").split()
-        if len(head) != 4 or head[0] != "dslsht" or head[1] != "v1":
-            raise ValueError(f"{path}: bad representation header")
-        lf, lh = int(head[2]), int(head[3])
-        lg = lf + lh - 1
-        shape = (lg * lg, lh, 2 * lh - 1, 2 * lh - 1)
-        raw = fh.read()
-    data = np.frombuffer(raw, dtype="<c16")
-    if data.size != math.prod(shape):
-        raise ValueError(f"{path}: representation payload size mismatch")
-    return DslshtRep(lf, lh, data.reshape(shape).copy())
+    return filt
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .dslsht import forward_component, window_blocks
-from .estimator import accumulate_component
-from .filtering import SpectralCovariance, design_block
+from .estimator import estimate_from_components
+from .filtering import FilterDiagnostics, SpectralCovariance, design_component
 from .io import write_pgm
 from .slepian import Region
 from .sphere import SphericalCoeffs, synthesize
@@ -127,60 +127,27 @@ def calibrate_snr(
     return SphericalCoeffs(z.bandlimit, alpha * z.data), alpha
 
 
-@dataclass(frozen=True)
-class DenoiseDiagnostics:
-    """Per ``(u, p)`` solver diagnostics collected during a streaming denoise."""
-
-    pinv_flag: np.ndarray
-    rank: np.ndarray
-    cond: np.ndarray
-
-    @property
-    def flagged_fraction(self) -> float:
-        """Fraction of ``(p, q, u)`` slots whose block used the pseudo-inverse."""
-        lh = self.pinv_flag.shape[1]
-        weights = 2 * np.arange(lh) + 1
-        flagged = float((self.pinv_flag @ weights).sum())
-        return flagged / float(self.pinv_flag.shape[0] * lh * lh)
-
-
 def denoise_with_diagnostics(
     f: SphericalCoeffs,
     cs: SpectralCovariance,
     cz: SpectralCovariance,
     h: SphericalCoeffs,
     rcond: float = 1e-10,
-) -> tuple[SphericalCoeffs, DenoiseDiagnostics]:
+) -> tuple[SphericalCoeffs, FilterDiagnostics]:
     """Streaming denoise that also reports the filter solver diagnostics."""
     lf = f.bandlimit
     if cs.bandlimit != lf or cz.bandlimit != lf:
         raise ValueError("covariance bandlimits must match the observation")
-    hh = float(np.sum(np.abs(h.data) ** 2))
-    if hh == 0.0:
-        raise ValueError("window must be nonzero")
     lh = h.bandlimit
     lg = lf + lh - 1
     stacked = np.stack([cs.matrix + cz.matrix, cs.matrix])
     hb = window_blocks(h)
-    hb_conj = np.conj(hb)
-    off = lh - 1
-    acc = np.zeros(lf * lf, dtype=np.complex128)
-    nu_u = np.empty((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-    flags = np.zeros((lg * lg, lh), dtype=bool)
-    ranks = np.zeros((lg * lg, lh), dtype=np.int64)
-    conds = np.zeros((lg * lg, lh))
-    for u in range(lg * lg):
-        g_u = forward_component(u, f, hb, lh)
-        for p in range(lh):
-            blk, ranks[u, p], conds[u, p], flags[u, p] = design_block(
-                u, p, stacked, lf, rcond
-            )
-            sl = slice(off - p, off + p + 1)
-            nu_u[p] = 0.0
-            nu_u[p, sl, sl] = blk @ g_u[p, sl, sl]
-        accumulate_component(acc, u, nu_u, hb_conj, lf, lh)
-    est = SphericalCoeffs(lf, acc / (2.0 * math.pi * hh))
-    return est, DenoiseDiagnostics(flags, ranks, conds)
+    diag = FilterDiagnostics.zeros(lg, lh)
+    filtered = (
+        design_component(u, stacked, lf, lh, rcond, diag) @ forward_component(u, f, hb, lh)
+        for u in range(lg * lg)
+    )
+    return estimate_from_components(filtered, h, lf), diag
 
 
 def denoise(

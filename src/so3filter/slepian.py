@@ -98,11 +98,6 @@ class SphericalEllipse:
 Region = Union[PolarCap, SphericalEllipse]
 
 
-def region_contains(region: Region, theta, phi):
-    """Membership test for a point (or arrays of points) in the region."""
-    return region.contains(theta, phi)
-
-
 def _region_nodes(region: Region, n_phi: int, n_radial: int):
     gx, gw = np.polynomial.legendre.leggauss(n_radial)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -52,6 +52,8 @@ class SphericalCoeffs:
             raise ValueError(
                 f"expected {self.bandlimit**2} coefficients, got shape {data.shape}"
             )
+        if not np.isfinite(data).all():
+            raise ValueError("coefficients have non-finite entries")
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

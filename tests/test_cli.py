@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from so3filter import PolarCap, make_test_signal, region_contains, synthesize
+from so3filter import PolarCap, make_test_signal, synthesize
 from so3filter.cli import main, parse_region, read_config
 from so3filter.io import read_coeffs, read_covariance
 

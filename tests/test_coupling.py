@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from so3filter import (
     SphereGrid,
-    TripleProductTable,
     degree_and_order,
     eval_ylm,
     nonzero_n_range,
@@ -181,26 +180,3 @@ class TestRanges:
         assert list(nn) == nonzero_n_range(2, -1, 11, 5)
         for n, t in zip(nn, tv):
             assert t == pytest.approx(triple_product(int(n), 2, -1, 11), abs=1e-14)
-
-
-class TestTable:
-    def test_build_and_lookup(self):
-        table = TripleProductTable.build(3, 2)
-        assert table.lg == 4
-        assert table.value(0, 0, 0, 0) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)))
-        # parity-odd entries are omitted but still read back as zero
-        assert table.value(2, 1, 0, 2) == 0.0
-
-    def test_entries_match_function(self):
-        table = TripleProductTable.build(3, 2)
-        for (n, p, q, u), val in table.entries.items():
-            assert val == pytest.approx(triple_product(n, p, q, u), abs=1e-14)
-
-    def test_entries_respect_selection_rules(self):
-        table = TripleProductTable.build(4, 2)
-        for (n, p, q, u) in table.entries:
-            ell, m = degree_and_order(n)
-            v, w = degree_and_order(u)
-            assert m + q == w
-            assert abs(ell - p) <= v <= ell + p
-            assert (ell + p + v) % 2 == 0

@@ -72,7 +72,7 @@ class TestRecoveryMatrix:
         assert np.all(rec.matrix == 0)
 
     def test_identity_filter_gives_identity(self):
-        from so3filter.filtering import JointFilter
+        from so3filter.filtering import FilterDiagnostics, JointFilter
 
         lf, lh = 4, 2
         lg = lf + lh - 1
@@ -81,12 +81,7 @@ class TestRecoveryMatrix:
         for p in range(lh):
             sl = slice(off - p, off + p + 1)
             zeta[:, p, sl, sl] = np.eye(2 * p + 1)
-        filt = JointFilter(
-            lh, lg, zeta,
-            np.zeros((lg * lg, lh), dtype=bool),
-            np.zeros((lg * lg, lh), dtype=np.int64),
-            np.zeros((lg * lg, lh)),
-        )
+        filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
         h = _unit(random_coeffs(lh, 10))
         rec = recovery_matrix(filt, h, lf)
         assert np.abs(rec.matrix - np.eye(lf * lf)).max() < 1e-8

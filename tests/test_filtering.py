@@ -35,6 +35,13 @@ class TestCovarianceType:
         with pytest.raises(ValueError):
             SpectralCovariance(2, np.zeros((3, 3), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        mat = np.eye(4, dtype=complex)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralCovariance(2, mat)
+
     def test_random_psd_accepted(self):
         cov = _cov(3, 1)
         evals = np.linalg.eigvalsh(cov.matrix)
@@ -180,7 +187,7 @@ class TestDesign:
         cz = SpectralCovariance.zeros(2)
         filt = design_filter(cs, cz, 2)
         assert filt.pinv_flag.all()
-        assert filt.flagged_fraction == 1.0
+        assert filt.diagnostics.flagged_fraction == 1.0
 
     def test_rank_one_noiseless_flags_but_reconstructs(self):
         s = random_coeffs(3, 13)
@@ -193,7 +200,7 @@ class TestDesign:
 
 class TestApply:
     def test_identity_filter(self):
-        from so3filter.filtering import JointFilter
+        from so3filter.filtering import FilterDiagnostics, JointFilter
 
         f = random_coeffs(3, 14)
         h = random_coeffs(2, 15)
@@ -204,14 +211,7 @@ class TestApply:
         for p in range(lh):
             sl = slice(off - p, off + p + 1)
             zeta[:, p, sl, sl] = np.eye(2 * p + 1)
-        filt = JointFilter(
-            lh,
-            lg,
-            zeta,
-            np.zeros((lg * lg, lh), dtype=bool),
-            np.zeros((lg * lg, lh), dtype=np.int64),
-            np.zeros((lg * lg, lh)),
-        )
+        filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
         out = apply_filter(rep, filt)
         assert np.abs(out.data - rep.data).max() < 1e-14
 

@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from so3filter import (
-    SpectralCovariance,
-    design_filter,
-    forward_dslsht,
-)
+from so3filter import SpectralCovariance, design_filter
 from so3filter.io import (
     read_coeffs,
     read_covariance,
-    read_dslsht,
     read_filter,
     write_coeffs,
     write_covariance,
-    write_dslsht,
     write_filter,
     write_pgm,
 )
@@ -108,24 +102,6 @@ class TestFilterFiles:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError):
             read_filter(path)
-
-
-class TestRepresentationDump:
-    def test_roundtrip(self, tmp_path):
-        rep = forward_dslsht(random_coeffs(3, 7), random_coeffs(2, 8))
-        path = tmp_path / "rep.bin"
-        write_dslsht(path, rep)
-        back = read_dslsht(path)
-        assert back.lf == 3 and back.lh == 2
-        np.testing.assert_array_equal(back.data, rep.data)
-
-    def test_rejects_payload_mismatch(self, tmp_path):
-        rep = forward_dslsht(random_coeffs(2, 9), random_coeffs(2, 10))
-        path = tmp_path / "rep.bin"
-        write_dslsht(path, rep)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError):
-            read_dslsht(path)
 
 
 class TestPgm:

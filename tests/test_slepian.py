@@ -9,7 +9,6 @@ from so3filter import (
     PolarCap,
     SphericalEllipse,
     concentration_kernel,
-    region_contains,
     slepian_window,
 )
 
@@ -19,8 +18,8 @@ DEG = math.pi / 180.0
 class TestRegions:
     def test_cap_membership(self):
         cap = PolarCap(15 * DEG)
-        assert region_contains(cap, 10 * DEG, 1.0)
-        assert not region_contains(cap, 20 * DEG, 1.0)
+        assert cap.contains(10 * DEG, 1.0)
+        assert not cap.contains(20 * DEG, 1.0)
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
@@ -30,15 +29,15 @@ class TestRegions:
 
     def test_ellipse_center_inside(self):
         ell = SphericalEllipse(15 * DEG, 16 * DEG)
-        assert region_contains(ell, 0.0, 0.0)
+        assert ell.contains(0.0, 0.0)
 
     def test_ellipse_major_minor_extent(self):
         ell = SphericalEllipse(15 * DEG, 16 * DEG)
         # boundary along the major axis sits at semi_major
-        assert region_contains(ell, 15.9 * DEG, 0.0)
-        assert not region_contains(ell, 16.1 * DEG, 0.0)
+        assert ell.contains(15.9 * DEG, 0.0)
+        assert not ell.contains(16.1 * DEG, 0.0)
         # along the minor axis the region is narrower
-        assert not region_contains(ell, 15.9 * DEG, 0.5 * math.pi)
+        assert not ell.contains(15.9 * DEG, 0.5 * math.pi)
 
     def test_ellipse_validation(self):
         with pytest.raises(ValueError):
@@ -50,14 +49,14 @@ class TestRegions:
         ell = SphericalEllipse(10 * DEG, 14 * DEG)
         phis = np.linspace(0, 2 * math.pi, 17)
         r = ell.boundary_colatitude(phis)
-        assert np.all(region_contains(ell, r - 1e-6, phis))
-        assert not np.any(region_contains(ell, r + 1e-6, phis))
+        assert np.all(ell.contains(r - 1e-6, phis))
+        assert not np.any(ell.contains(r + 1e-6, phis))
 
     def test_ellipse_foci_on_major_axis(self):
         # distance sum at the focus itself equals focus-to-focus + 0 <= 2a
         ell = SphericalEllipse(15 * DEG, 16 * DEG)
-        assert region_contains(ell, 15 * DEG, 0.0)
-        assert region_contains(ell, 15 * DEG, math.pi)
+        assert ell.contains(15 * DEG, 0.0)
+        assert ell.contains(15 * DEG, math.pi)
 
 
 class TestKernel:
@@ -154,7 +153,7 @@ class TestWindow:
         res = slepian_window(cap, 8)
         grid = SphereGrid.for_bandlimit(8)
         vals = np.abs(inverse_sht(res.window(), grid)) ** 2
-        inside = region_contains(cap, grid.thetas[:, None], grid.phis[None, :])
+        inside = cap.contains(grid.thetas[:, None], grid.phis[None, :])
         w = grid.node_weights()
         ratio = float(np.sum(vals * w * inside) / np.sum(vals * w))
         assert ratio > 0.9

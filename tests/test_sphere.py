@@ -213,6 +213,11 @@ class TestCoeffsType:
         with pytest.raises(ValueError):
             SphericalCoeffs(3, np.zeros(8, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            SphericalCoeffs(2, [bad, 0, 0, 0])
+
     def test_data_read_only(self):
         coeffs = SphericalCoeffs.zeros(2)
         with pytest.raises(ValueError):
