@@ -108,7 +108,7 @@ def _cmd_denoise(args) -> int:
         cz = sfio.read_covariance(args.noise_cov)
     else:
         cz = SpectralCovariance.zeros(f.bandlimit)
-    est = denoise(f, cs, cz, h, rcond=args.rcond)
+    est = denoise(f, cs, cz, h)
     sfio.write_coeffs(args.out, est)
     if args.source:
         s = sfio.read_coeffs(args.source)
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", help="source coefficients (builds the rank-one covariance)")
     p.add_argument("--signal-cov", help="source covariance file")
     p.add_argument("--noise-cov", help="noise covariance file (default: zero)")
-    p.add_argument("--rcond", type=float, default=1e-10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_denoise)
 

@@ -10,9 +10,9 @@ spectral covariances through triple products:
 ``A`` is Hermitian positive semidefinite.  Orders ``k`` whose triple-product
 column is structurally empty contribute exact zero rows/columns and are
 removed before solving; the remaining core is solved by Hermitian
-eigendecomposition with small eigenvalues truncated at a relative ``rcond``
-threshold, which yields the minimum-norm least-squares solution whenever the
-core is rank deficient (those blocks are flagged).
+eigendecomposition with eigenvalues below ``RCOND`` times the largest
+truncated, which yields the minimum-norm least-squares solution whenever the
+core is rank deficient (those blocks are flagged as truncated).
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ import numpy as np
 
 from .coupling import triple_product_block
 from .dslsht import DslshtRep
+
+# Relative eigenvalue cut-off of the per-block solve.
+RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,11 @@ class SpectralCovariance:
 class FilterDiagnostics:
     """Per ``(u, p)`` block diagnostics of a filter design.
 
-    ``pinv_flag[u, p]`` marks blocks whose solve fell back to the truncated
-    pseudo-inverse; ``rank`` and ``cond`` describe the structurally nonempty
-    core of each block.
+    ``pinv_flag[u, p]`` marks blocks with a structurally nonempty core whose
+    solve truncated eigenvalues (``rank`` below the core size), so it fell
+    back to the minimum-norm pseudo-inverse.  Structurally empty blocks, where
+    the selection rules leave no triple product, have rank 0 and are not
+    flagged.  ``rank`` and ``cond`` describe the nonempty core of each block.
     """
 
     pinv_flag: np.ndarray
@@ -81,7 +86,7 @@ class FilterDiagnostics:
 
     @property
     def flagged_fraction(self) -> float:
-        """Fraction of ``(p, q, u)`` slots whose block used the pseudo-inverse."""
+        """Fraction of ``(p, q, u)`` slots whose block truncated its nonempty core."""
         lh = self.pinv_flag.shape[1]
         weights = 2 * np.arange(lh) + 1
         flagged = float((self.pinv_flag @ weights).sum())
@@ -101,16 +106,11 @@ class JointFilter:
     zeta: np.ndarray
     diagnostics: FilterDiagnostics
 
-    # Shortcuts to the diagnostics arrays.
-    pinv_flag = property(lambda self: self.diagnostics.pinv_flag)
-    rank = property(lambda self: self.diagnostics.rank)
-    cond = property(lambda self: self.diagnostics.cond)
-
     def __post_init__(self):
         expected = (self.lg**2, self.lh, 2 * self.lh - 1, 2 * self.lh - 1)
         if self.zeta.shape != expected:
             raise ValueError(f"expected zeta of shape {expected}")
-        if self.pinv_flag.shape != (self.lg**2, self.lh):
+        if self.diagnostics.pinv_flag.shape != (self.lg**2, self.lh):
             raise ValueError("diagnostics must have shape (lg**2, lh)")
 
     def block(self, u: int, p: int) -> np.ndarray:
@@ -125,7 +125,7 @@ def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
     if nn.size == 0:
         return None, None
     sub = stacked[:, nn[:, None], nn[None, :]]
-    M = np.einsum("ij,sjk,kl->sil", X.T, sub, X, optimize=True)
+    M = X.T @ sub @ X
     keep = (X != 0.0).any(axis=0)
     return M, keep
 
@@ -149,26 +149,25 @@ def normal_rhs(p: int, q: int, u: int, cs: SpectralCovariance) -> np.ndarray:
     return M[0][q + p, :].copy()
 
 
-def design_block(
-    u: int, p: int, stacked: np.ndarray, lf: int, rcond: float
-):
+def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
     """Solve every order ``q`` of one ``(p, u)`` block.
 
     ``stacked`` holds ``[Cs + Cz, Cs]``.  Returns the ``(2p+1, 2p+1)`` zeta
     block indexed ``[q + p, k + p]`` plus ``(rank, cond, flagged)``.  The
     solve is minimum-norm on the structurally nonempty core; orders ``k``
-    outside it get zero coefficients.
+    outside it get zero coefficients.  ``flagged`` means the rank fell short
+    of the core size; an empty block has rank 0 and is not flagged.
     """
     zeta = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
     M, keep = _gram_pair(p, u, stacked, lf)
     if M is None or not keep.any():
-        return zeta, 0, math.inf, True
+        return zeta, 0, math.inf, False
     A = M[0].T[np.ix_(keep, keep)]
     w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
     wmax = float(w[-1])
     if wmax <= 0.0:
         return zeta, 0, math.inf, True
-    pos = w > rcond * wmax
+    pos = w > RCOND * wmax
     rank = int(pos.sum())
     cond = wmax / float(w[0]) if w[0] > 0.0 else math.inf
     Vp = V[:, pos]
@@ -178,34 +177,28 @@ def design_block(
 
 
 def design_component(
-    u: int, stacked: np.ndarray, lf: int, lh: int, rcond: float, diag: FilterDiagnostics
+    u: int, stacked: np.ndarray, lf: int, lh: int, diag: FilterDiagnostics
 ) -> np.ndarray:
     """Filter cube ``zeta(.; u)``, zero-padded to ``(lh, 2lh-1, 2lh-1)``.
 
     ``stacked`` holds ``[Cs + Cz, Cs]``.  Row ``u`` of ``diag`` receives the
-    rank, condition and pseudo-inverse flag of every block.
+    rank, condition and truncation flag of every block.
     """
     off = lh - 1
     cube = np.zeros((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
     for p in range(lh):
         sl = slice(off - p, off + p + 1)
         cube[p, sl, sl], diag.rank[u, p], diag.cond[u, p], diag.pinv_flag[u, p] = (
-            design_block(u, p, stacked, lf, rcond)
+            design_block(u, p, stacked, lf)
         )
     return cube
 
 
-def design_filter(
-    cs: SpectralCovariance,
-    cz: SpectralCovariance,
-    lh: int,
-    rcond: float = 1e-10,
-) -> JointFilter:
+def design_filter(cs: SpectralCovariance, cz: SpectralCovariance, lh: int) -> JointFilter:
     """Design the joint-domain MMSE filter from known covariances.
 
     Every ``(p, q, u)`` slot is populated; blocks that needed eigenvalue
-    truncation (or were entirely outside the selection rules) carry the
-    pseudo-inverse flag.
+    truncation carry the pseudo-inverse flag.
     """
     if cs.bandlimit != cz.bandlimit:
         raise ValueError("covariance bandlimits differ")
@@ -217,7 +210,7 @@ def design_filter(
     diag = FilterDiagnostics.zeros(lg, lh)
     zeta = np.empty((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
     for u in range(lg * lg):
-        zeta[u] = design_component(u, stacked, lf, lh, rcond, diag)
+        zeta[u] = design_component(u, stacked, lf, lh, diag)
     return JointFilter(lh, lg, zeta, diag)
 
 

@@ -1,29 +1,25 @@
-"""File formats: coefficient vectors, covariances, filters, raster output.
+"""File formats: coefficient vectors, covariances, raster output.
 
-Text formats
-------------
 * Coefficients: header ``slm v1 L=<int>`` then ``L**2`` lines ``n re im`` in
   increasing ``n``.
 * Covariance: header ``cov v1 L=<int>`` then ``L**2`` rows of ``2*L**2``
-  floats (``re im`` pairs, row-major).
-
-Binary formats
---------------
-* Filter: ASCII header line ``jfilt v1 <lh> <lg>`` followed, for each
-  ``(u, p)`` block in order, by rank (int32 LE), condition (float64 LE),
-  pseudo-inverse flag (uint8) and the raw ``(2p+1)**2`` complex128 block.
-  Round-trips are bit exact.
+  floats (``re im`` pairs, row-major).  The matrix must be Hermitian positive
+  semidefinite: eigenvalues below ``-PSD_TOL`` times the largest magnitude
+  are rejected.
+* Rasters: binary 8-bit PGM.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .filtering import FilterDiagnostics, JointFilter, SpectralCovariance
+from .filtering import SpectralCovariance
 from .sphere import SphericalCoeffs
+
+# Relative tolerance of the positive-semidefinite check on covariance files.
+PSD_TOL = 1e-10
 
 
 def write_coeffs(path, coeffs: SphericalCoeffs) -> None:
@@ -84,41 +80,11 @@ def read_covariance(path) -> SpectralCovariance:
         if vals.size != 2 * n:
             raise ValueError(f"{path}: covariance row {i} has {vals.size} values, expected {2 * n}")
         mat[i] = vals[0::2] + 1j * vals[1::2]
-    return SpectralCovariance(L, mat)
-
-
-def write_filter(path, filt: JointFilter) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"jfilt v1 {filt.lh} {filt.lg}\n".encode("ascii"))
-        for u in range(filt.lg**2):
-            for p in range(filt.lh):
-                fh.write(struct.pack("<id B", int(filt.rank[u, p]), float(filt.cond[u, p]), int(filt.pinv_flag[u, p])))
-                fh.write(np.ascontiguousarray(filt.block(u, p), dtype="<c16").tobytes())
-
-
-def read_filter(path) -> JointFilter:
-    with open(path, "rb") as fh:
-        head = fh.readline().decode("ascii").split()
-        if len(head) != 4 or head[0] != "jfilt" or head[1] != "v1":
-            raise ValueError(f"{path}: bad filter header")
-        lh, lg = int(head[2]), int(head[3])
-        zeta = np.zeros((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-        filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
-        rec = struct.Struct("<id B")
-        for u in range(lg * lg):
-            for p in range(lh):
-                raw = fh.read(rec.size)
-                if len(raw) != rec.size:
-                    raise ValueError(f"{path}: truncated filter file")
-                filt.rank[u, p], filt.cond[u, p], filt.pinv_flag[u, p] = rec.unpack(raw)
-                nbytes = (2 * p + 1) ** 2 * 16
-                raw = fh.read(nbytes)
-                if len(raw) != nbytes:
-                    raise ValueError(f"{path}: truncated filter file")
-                filt.block(u, p)[...] = np.frombuffer(raw, dtype="<c16").reshape(2 * p + 1, 2 * p + 1)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes in filter file")
-    return filt
+    cov = SpectralCovariance(L, mat)
+    w = np.linalg.eigvalsh(cov.matrix)
+    if w[0] < -PSD_TOL * np.abs(w).max():
+        raise ValueError(f"{path}: covariance is not positive semidefinite (min eigenvalue {w[0]:.3g})")
+    return cov
 
 
 def write_pgm(path, values: np.ndarray) -> None:

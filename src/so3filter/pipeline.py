@@ -87,9 +87,6 @@ class NoiseModel:
         mat = self.scale**2 * (self.mixing @ self.mixing.conj().T)
         return SpectralCovariance(self.bandlimit, 0.5 * (mat + mat.conj().T))
 
-    def with_scale(self, scale: float) -> "NoiseModel":
-        return NoiseModel(self.mixing, scale)
-
 
 def synth_noise(model: NoiseModel, seed: int) -> SphericalCoeffs:
     """One noise realisation; deterministic in ``seed``."""
@@ -132,7 +129,6 @@ def denoise_with_diagnostics(
     cs: SpectralCovariance,
     cz: SpectralCovariance,
     h: SphericalCoeffs,
-    rcond: float = 1e-10,
 ) -> tuple[SphericalCoeffs, FilterDiagnostics]:
     """Streaming denoise that also reports the filter solver diagnostics."""
     lf = f.bandlimit
@@ -144,7 +140,7 @@ def denoise_with_diagnostics(
     hb = window_blocks(h)
     diag = FilterDiagnostics.zeros(lg, lh)
     filtered = (
-        design_component(u, stacked, lf, lh, rcond, diag) @ forward_component(u, f, hb, lh)
+        design_component(u, stacked, lf, lh, diag) @ forward_component(u, f, hb, lh)
         for u in range(lg * lg)
     )
     return estimate_from_components(filtered, h, lf), diag
@@ -155,14 +151,13 @@ def denoise(
     cs: SpectralCovariance,
     cz: SpectralCovariance,
     h: SphericalCoeffs,
-    rcond: float = 1e-10,
 ) -> SphericalCoeffs:
     """Full joint-domain denoising chain, streamed one component at a time.
 
     Equivalent to forward transform, filter design plus application and
     least-squares recovery, without materialising the representation.
     """
-    est, _ = denoise_with_diagnostics(f, cs, cz, h, rcond=rcond)
+    est, _ = denoise_with_diagnostics(f, cs, cz, h)
     return est
 
 

@@ -109,10 +109,6 @@ class SphereGrid:
         return cls(L, thetas, phis, ring)
 
     @property
-    def design_degree(self) -> int:
-        return 2 * self.bandlimit
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.thetas.size, self.phis.size)
 

@@ -24,6 +24,17 @@ def _cov(bandlimit, seed, rank=None, scale=1.0):
     return SpectralCovariance(bandlimit, scale * random_psd(bandlimit**2, seed, rank))
 
 
+def _structurally_nonempty(lf, lh):
+    """``(lg**2, lh)`` mask of blocks the degree selection rule leaves nonempty.
+
+    Degree ``v`` of ``u`` couples to window degree ``p`` through some ``l < lf``
+    with ``l + p + v`` even exactly when ``|v - p| <= lf - 1``.
+    """
+    lg = lf + lh - 1
+    v = np.sqrt(np.arange(lg * lg)).astype(int)[:, None]
+    return np.abs(v - np.arange(lh)[None, :]) <= lf - 1
+
+
 class TestCovarianceType:
     def test_rejects_non_hermitian(self):
         mat = np.zeros((4, 4), dtype=complex)
@@ -182,12 +193,26 @@ class TestDesign:
             design_filter(_cov(3, 11), _cov(4, 12), 2)
 
     def test_flags_on_degenerate_blocks(self):
-        # a zero-signal zero-noise setup is fully degenerate and flagged
-        cs = SpectralCovariance.zeros(2)
-        cz = SpectralCovariance.zeros(2)
-        filt = design_filter(cs, cz, 2)
-        assert filt.pinv_flag.all()
-        assert filt.diagnostics.flagged_fraction == 1.0
+        # zero covariances: every nonempty core has a zero Gram and is
+        # truncated to rank 0; structurally empty blocks are not flagged
+        lf, lh = 2, 2
+        filt = design_filter(SpectralCovariance.zeros(lf), SpectralCovariance.zeros(lf), lh)
+        nonempty = _structurally_nonempty(lf, lh)
+        assert not nonempty.all()
+        np.testing.assert_array_equal(filt.diagnostics.pinv_flag, nonempty)
+        assert not filt.diagnostics.rank.any()
+
+    @pytest.mark.parametrize("rank", [1, None])
+    def test_structurally_empty_blocks_not_flagged(self, rank):
+        lf, lh = 3, 2
+        filt = design_filter(_cov(lf, 26, rank), _cov(lf, 27), lh)
+        diag = filt.diagnostics
+        empty = ~_structurally_nonempty(lf, lh)
+        assert empty.any()
+        assert not diag.pinv_flag[empty].any()
+        assert not diag.rank[empty].any()
+        # full-rank covariances leave nothing to truncate
+        assert not diag.pinv_flag.any()
 
     def test_rank_one_noiseless_flags_but_reconstructs(self):
         s = random_coeffs(3, 13)
@@ -195,7 +220,7 @@ class TestDesign:
         cz = SpectralCovariance.zeros(3)
         filt = design_filter(cs, cz, 2)
         # blocks wider than rank one must be flagged as pseudo-inverse solves
-        assert filt.pinv_flag[:, 1].any()
+        assert filt.diagnostics.pinv_flag[:, 1].any()
 
 
 class TestApply:

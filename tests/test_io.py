@@ -1,16 +1,20 @@
 """File formats: headers, round-trips, rejection of malformed input."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from so3filter import SpectralCovariance, design_filter
+from so3filter import SpectralCovariance
 from so3filter.io import (
+    PSD_TOL,
     read_coeffs,
     read_covariance,
-    read_filter,
     write_coeffs,
     write_covariance,
-    write_filter,
     write_pgm,
 )
 
@@ -74,34 +78,42 @@ class TestCovarianceFiles:
         with pytest.raises(ValueError):
             read_covariance(path)
 
+    def test_rejects_indefinite(self, tmp_path):
+        path = tmp_path / "bad.cov"
+        write_covariance(path, SpectralCovariance(2, np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)))
+        with pytest.raises(ValueError, match="bad.cov.*not positive semidefinite"):
+            read_covariance(path)
 
-class TestFilterFiles:
-    def test_bit_exact_roundtrip(self, tmp_path):
-        cs = SpectralCovariance(3, random_psd(9, 4, rank=1))
-        cz = SpectralCovariance(3, 0.3 * random_psd(9, 5))
-        filt = design_filter(cs, cz, 2)
-        path = tmp_path / "f.jfilt"
-        write_filter(path, filt)
-        back = read_filter(path)
-        assert back.lh == filt.lh and back.lg == filt.lg
-        assert np.array_equal(back.zeta, filt.zeta)
-        assert np.array_equal(back.pinv_flag, filt.pinv_flag)
-        assert np.array_equal(back.rank, filt.rank)
-        assert np.array_equal(back.cond, filt.cond)
-        # byte-for-byte stable across rewrites
-        path2 = tmp_path / "g.jfilt"
-        write_filter(path2, back)
-        assert path.read_bytes() == path2.read_bytes()
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_psd_roundtrip_is_bit_exact(self, L, data):
+        n = L * L
+        rank = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        scale = data.draw(st.floats(1e-6, 1e6))
+        rng = np.random.default_rng(seed)
+        A = scale * (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+        cov = SpectralCovariance(L, A @ A.conj().T)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cov"
+            write_covariance(path, cov)
+            back = read_covariance(path)
+        np.testing.assert_array_equal(back.matrix, cov.matrix)
 
-    def test_rejects_truncation(self, tmp_path):
-        cs = SpectralCovariance(2, random_psd(4, 6))
-        filt = design_filter(cs, SpectralCovariance.zeros(2), 2)
-        path = tmp_path / "f.jfilt"
-        write_filter(path, filt)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError):
-            read_filter(path)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(1e3 * PSD_TOL, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_negative_eigenvalue_rejected(self, L, seed, depth):
+        n = L * L
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        w = rng.uniform(1.0, 10.0, n)
+        w[0] = -depth * w.max()
+        cov = SpectralCovariance(L, (Q * w) @ Q.conj().T)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cov"
+            write_covariance(path, cov)
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                read_covariance(path)
 
 
 class TestPgm:
