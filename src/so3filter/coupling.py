@@ -5,7 +5,8 @@ evaluated with the Luscombe-Luban two-sided scheme: ratio recursions through
 the nonclassical zones at both ends of the degree range, the three-term
 recursion across the classical middle, and a final normalisation by
 ``sum (2j+1) f(j)^2 = 1`` with the sign convention
-``sign f(jmax) = (-1)^(j1-j2-m3)``.  Families are memoised.
+``sign f(jmax) = (-1)^(j1-j2-m3)``.  Families are memoised, and so is
+the packed set of triple-product rows of each ``(p, u)`` block.
 
 The triple product ``T(n; p, q; u) = integral Y_n Y_p^q conj(Y_u)`` reduces to
 two 3j factors; with ``n -> (l, m)`` and ``u -> (v, w)``,
@@ -28,7 +29,9 @@ from .sphere import degree_and_order
 _FOUR_PI = 4.0 * math.pi
 
 
-@functools.lru_cache(maxsize=1 << 18)
+# Bound of the 3j family cache.  The row plans below are cached in place of
+# the families they are built from, so only recent families need to stay.
+@functools.lru_cache(maxsize=1 << 12)
 def _family(j1: int, j2: int, m1: int, m2: int) -> tuple[int, np.ndarray]:
     """3j values ``(j1 j2 j; m1 m2 -(m1+m2))`` for every admissible ``j``.
 
@@ -219,27 +222,54 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
     return [ell * (ell + 1) + m for ell in range(lmin, lmax + 1)]
 
 
+# Bound of the row-plan cache, in blocks: the desk (4,232) and mid (22,188)
+# presets fit whole, so every denoise of a sweep after the first reuses them.
+@functools.lru_cache(maxsize=1 << 15)
+def _row_plan(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Every row ``T(.; p, k; u)``, ``-p <= k <= p``, packed into one record.
+
+    Returns read-only ``(nn, values, offsets)``: row ``k`` is
+    ``nn[offsets[k + p] : offsets[k + p + 1]]`` with its values at the same
+    positions.  Forward transform, filter design and recovery all read their
+    rows from here.
+    """
+    v, w = degree_and_order(u)
+    sign = -1.0 if w % 2 else 1.0
+    j0a, fa = _family(p, v, 0, 0)
+    nns, vals, offsets = [], [], [0]
+    for k in range(-p, p + 1):
+        m = w - k
+        ls = np.arange(max(abs(v - p), abs(m)), min(v + p, lf - 1) + 1)
+        if ls.size:
+            j0b, fb = _family(p, v, k, -w)
+            scale = np.sqrt((2 * ls + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
+            nns.append(ls * (ls + 1) + m)
+            vals.append(sign * scale * fa[ls - j0a] * fb[ls - j0b])
+        offsets.append(offsets[-1] + ls.size)
+    nn = np.concatenate(nns) if nns else np.empty(0, dtype=np.intp)
+    values = np.concatenate(vals) if vals else np.empty(0)
+    nn.setflags(write=False)
+    values.setflags(write=False)
+    return nn, values, tuple(offsets)
+
+
 def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse row of triple products over the source index.
 
-    Returns ``(n_indices, values)`` with ``values[i] = T(n_indices[i]; p, q; u)``,
-    covering exactly the candidates from :func:`nonzero_n_range`.
+    Returns read-only ``(n_indices, values)`` with
+    ``values[i] = T(n_indices[i]; p, q; u)``, covering exactly the candidates
+    from :func:`nonzero_n_range`.
     """
     if p < 0 or abs(q) > p or u < 0 or lf < 1:
         raise ValueError("invalid triple-product indices")
-    v, w = degree_and_order(u)
-    m = w - q
-    lmin = max(abs(v - p), abs(m))
-    lmax = min(v + p, lf - 1)
-    if lmax < lmin:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    j0a, fa = _family(p, v, 0, 0)
-    j0b, fb = _family(p, v, q, -w)
-    ls = np.arange(lmin, lmax + 1)
-    scale = np.sqrt((2 * ls + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
-    sign = -1.0 if w % 2 else 1.0
-    vals = sign * scale * fa[ls - j0a] * fb[ls - j0b]
-    return ls * (ls + 1) + m, vals
+    nn, values, offsets = _row_plan(p, u, lf)
+    row = slice(offsets[q + p], offsets[q + p + 1])
+    return nn[row], values[row]
+
+
+def cache_info():
+    """``functools`` cache statistics ``(row plans, 3j families)``."""
+    return _row_plan.cache_info(), _family.cache_info()
 
 
 def triple_product_block(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import coupling
 from .dslsht import forward_component, window_blocks
 from .estimator import estimate_from_components
 from .filtering import FilterDiagnostics, SpectralCovariance, design_component
@@ -143,7 +144,16 @@ def denoise_with_diagnostics(
         design_component(u, stacked, lf, lh, diag) @ forward_component(u, f, hb, lh)
         for u in range(lg * lg)
     )
-    return estimate_from_components(filtered, h, lf), diag
+    est = estimate_from_components(filtered, h, lf)
+    if logger.isEnabledFor(logging.INFO):
+        plan, family = coupling.cache_info()
+        logger.info(
+            "coupling caches: row plans %d hits %d misses %d/%d held, "
+            "3j families %d hits %d misses %d/%d held",
+            plan.hits, plan.misses, plan.currsize, plan.maxsize,
+            family.hits, family.misses, family.currsize, family.maxsize,
+        )
+    return est, diag
 
 
 def denoise(

@@ -95,6 +95,23 @@ def test_denoise_command_noiseless(tmp_path):
     assert np.linalg.norm(est.data - s.data) < 1e-6 * np.linalg.norm(s.data)
 
 
+def test_denoise_reads_source_once(tmp_path, monkeypatch):
+    from so3filter import cli
+    from so3filter.io import write_coeffs
+
+    s = make_test_signal(3, 4)
+    for name in ("s", "f", "h"):
+        write_coeffs(tmp_path / f"{name}.slm", s)
+    reads = []
+    monkeypatch.setattr(cli.sfio, "read_coeffs",
+                        lambda path: reads.append(str(path)) or read_coeffs(path))
+    assert main(["-v", "denoise", "--observed", str(tmp_path / "f.slm"),
+                 "--window", str(tmp_path / "h.slm"),
+                 "--source", str(tmp_path / "s.slm"),
+                 "--out", str(tmp_path / "est.slm")]) == 0
+    assert reads.count(str(tmp_path / "s.slm")) == 1
+
+
 def test_denoise_requires_covariance_source(tmp_path):
     from so3filter.io import write_coeffs
 

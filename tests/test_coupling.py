@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3filter import (
+    SpectralCovariance,
     SphereGrid,
+    build_signal_covariance,
     degree_and_order,
+    denoise,
     eval_ylm,
     nonzero_n_range,
     triple_product,
@@ -17,8 +20,10 @@ from so3filter import (
     wigner3j,
     wigner3j_family,
 )
+from so3filter import coupling
+from so3filter.coupling import triple_product_block
 
-from helpers import racah_3j
+from helpers import racah_3j, random_coeffs
 
 
 class TestWigner3j:
@@ -180,3 +185,83 @@ class TestRanges:
         assert list(nn) == nonzero_n_range(2, -1, 11, 5)
         for n, t in zip(nn, tv):
             assert t == pytest.approx(triple_product(int(n), 2, -1, 11), abs=1e-14)
+
+
+def _all_rows(lf, lh):
+    """``(p, q, u, nn, values)`` of every triple-product row at ``(lf, lh)``."""
+    lg = lf + lh - 1
+    for u in range(lg * lg):
+        for p in range(lh):
+            for q in range(-p, p + 1):
+                yield (p, q, u, *triple_product_rows(p, q, u, lf))
+
+
+class TestRowPlan:
+    def test_rows_are_read_only(self):
+        nn, tv = triple_product_rows(2, -1, 11, 5)
+        assert nn.size and not nn.flags.writeable and not tv.flags.writeable
+        with pytest.raises(ValueError):
+            nn[0] = 0
+        with pytest.raises(ValueError):
+            tv *= 2.0
+        assert np.array_equal(triple_product_rows(2, -1, 11, 5)[1], tv)
+
+    def test_cold_and_warm_rows_are_bit_identical(self):
+        def rows():
+            return [(nn.copy(), tv.copy()) for *_, nn, tv in _all_rows(5, 3)]
+
+        coupling._row_plan.cache_clear()
+        coupling._family.cache_clear()
+        cold = rows()
+        warm = rows()
+        assert coupling._row_plan.cache_info().hits > 0
+        coupling._row_plan.cache_clear()  # rebuilt from cached 3j families
+        rebuilt = rows()
+        for (nn_c, tv_c), (nn_w, tv_w), (nn_r, tv_r) in zip(cold, warm, rebuilt):
+            assert np.array_equal(nn_c, nn_w) and np.array_equal(nn_c, nn_r)
+            assert np.array_equal(tv_c, tv_w) and np.array_equal(tv_c, tv_r)
+
+    def test_every_row_matches_scalar(self):
+        lf = 4
+        for p, q, u, nn, tv in _all_rows(lf, 3):
+            assert list(nn) == nonzero_n_range(p, q, u, lf)
+            for n, t in zip(nn, tv):
+                assert t == pytest.approx(triple_product(int(n), p, q, u), abs=1e-14)
+
+    def test_block_columns_equal_rows(self):
+        lf, lh = 4, 3
+        for u in range((lf + lh - 1) ** 2):
+            for p in range(lh):
+                n_union, X = triple_product_block(p, u, lf)
+                pos = 0
+                for col, q in enumerate(range(-p, p + 1)):
+                    nn, tv = triple_product_rows(p, q, u, lf)
+                    assert np.array_equal(n_union[pos : pos + nn.size], nn)
+                    assert np.array_equal(X[pos : pos + nn.size, col], tv)
+                    assert not X[pos : pos + nn.size, np.arange(2 * p + 1) != col].any()
+                    pos += nn.size
+                assert pos == n_union.size
+
+    def test_one_denoise_reuses_each_plan(self):
+        # forward, design and recovery read every block: >= 2 hits per miss
+        f = random_coeffs(4, 1)
+        h = random_coeffs(3, 2)
+        coupling._row_plan.cache_clear()
+        denoise(f, build_signal_covariance(random_coeffs(4, 3)), SpectralCovariance.zeros(4), h)
+        info = coupling._row_plan.cache_info()
+        assert info.misses == 6 * 6 * 3  # every (u, p) block once
+        assert info.hits >= 2 * info.misses
+
+
+class TestRoundingResidue:
+    def test_tiny_values_are_exact_racah_zeros(self):
+        # entries with 0 < |T| < 1e-12 are recursion residue of 3j symbols
+        # that vanish exactly (nontrivial zeros), not small true values
+        tiny = 0
+        for p, q, u, nn, tv in _all_rows(10, 6):
+            v, w = degree_and_order(u)
+            for n in nn[(tv != 0.0) & (np.abs(tv) < 1e-12)]:
+                ell, m = degree_and_order(int(n))
+                tiny += 1
+                assert racah_3j(ell, p, v, 0, 0, 0) == 0.0 or racah_3j(ell, p, v, m, q, -w) == 0.0
+        assert tiny > 0

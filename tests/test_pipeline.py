@@ -1,5 +1,6 @@
 """Noise synthesis, SNR calibration, denoising and the benchmark harness."""
 
+import logging
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from so3filter import (
     snr,
     synth_noise,
 )
+
+from so3filter import coupling
 
 from helpers import random_coeffs
 
@@ -180,6 +183,22 @@ class TestDenoise:
         cz = SpectralCovariance(lf, alpha**2 * model.covariance().matrix)
         est = denoise(f, cs, cz, h)
         assert snr(est, s) > snr(f, s)
+
+    def test_logs_cache_statistics_when_verbose(self, caplog):
+        f = random_coeffs(3, 44)
+        h = random_coeffs(2, 45)
+        cs = build_signal_covariance(random_coeffs(3, 46))
+        cz = SpectralCovariance.zeros(3)
+        with caplog.at_level(logging.WARNING, logger="so3filter"):
+            denoise(f, cs, cz, h)
+        assert not caplog.records
+        with caplog.at_level(logging.INFO, logger="so3filter"):
+            denoise(f, cs, cz, h)
+        (record,) = [r for r in caplog.records if r.name == "so3filter.pipeline"]
+        assert "row plans" in record.getMessage()
+        assert "3j families" in record.getMessage()
+        plan, _ = coupling.cache_info()
+        assert f"{plan.currsize}/{plan.maxsize} held" in record.getMessage()
 
     def test_estimate_norm_bounded_by_operator_norm(self):
         lf, lh = 4, 2
