@@ -163,7 +163,7 @@ def _cmd_benchmark(args) -> int:
     cfg = _benchmark_config(args)
     if args.preset == "full":
         logger.warning(
-            "full-scale preset (lf=%d, lh=%d): expect 1.2-1.4 hours per denoise "
+            "full-scale preset (lf=%d, lh=%d): expect about 1.4 hours per denoise "
             "(extrapolated from desk-scale timings) and 2-2.5 GB of RAM",
             cfg.lf, cfg.lh,
         )

@@ -222,9 +222,12 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
     return [ell * (ell + 1) + m for ell in range(lmin, lmax + 1)]
 
 
-# Bound of the row-plan cache, in blocks: the desk (4,232) and mid (22,188)
-# presets fit whole, so every denoise of a sweep after the first reuses them.
-@functools.lru_cache(maxsize=1 << 15)
+# Bound of the row-plan cache, in blocks: the desk preset (4,232 blocks) fits
+# whole, so every denoise of a desk sweep after the first reuses its plans.
+# Larger runs only share each plan between the three stages of one ``u``.
+# One packed record per block, not one cache entry per row: per-row entries
+# would hold the desk plan in 17.6 MB instead of 4.8 MB.
+@functools.lru_cache(maxsize=1 << 13)
 def _row_plan(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Every row ``T(.; p, k; u)``, ``-p <= k <= p``, packed into one record.
 

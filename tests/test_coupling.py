@@ -21,6 +21,7 @@ from so3filter import (
     wigner3j_family,
 )
 from so3filter import coupling
+from so3filter.cli import DESK_PRESET
 from so3filter.coupling import triple_product_block
 
 from helpers import racah_3j, random_coeffs
@@ -251,6 +252,11 @@ class TestRowPlan:
         info = coupling._row_plan.cache_info()
         assert info.misses == 6 * 6 * 3  # every (u, p) block once
         assert info.hits >= 2 * info.misses
+
+    def test_desk_plan_fits_the_cache(self):
+        # a desk sweep reuses its plans only if every block stays cached
+        lf, lh = DESK_PRESET["lf"], DESK_PRESET["lh"]
+        assert (lf + lh - 1) ** 2 * lh <= coupling._row_plan.cache_info().maxsize
 
 
 class TestRoundingResidue:
