@@ -99,6 +99,11 @@ def _cmd_denoise(args) -> int:
     f = sfio.read_coeffs(args.observed)
     h = sfio.read_coeffs(args.window)
     s = sfio.read_coeffs(args.source) if args.source else None
+    if s is not None and s.bandlimit != f.bandlimit:
+        raise SystemExit(
+            f"--source {args.source} has bandlimit {s.bandlimit}, "
+            f"but --observed {args.observed} has {f.bandlimit}"
+        )
     if args.signal_cov:
         cs = sfio.read_covariance(args.signal_cov)
     elif s is not None:
@@ -163,7 +168,7 @@ def _cmd_benchmark(args) -> int:
     cfg = _benchmark_config(args)
     if args.preset == "full":
         logger.warning(
-            "full-scale preset (lf=%d, lh=%d): expect about 1.4 hours per denoise "
+            "full-scale preset (lf=%d, lh=%d): expect about 0.9 hours per denoise "
             "(extrapolated from desk-scale timings) and 2-2.5 GB of RAM",
             cfg.lf, cfg.lh,
         )

@@ -14,7 +14,16 @@ two 3j factors; with ``n -> (l, m)`` and ``u -> (v, w)``,
     T = (-1)^w sqrt((2l+1)(2p+1)(2v+1) / 4pi)
         * (l p v; 0 0 0) * (l p v; m q -w),
 
-which vanishes unless ``m + q = w`` and ``|l-p| <= v <= l+p``.
+which vanishes unless ``m + q = w`` and ``|l-p| <= v <= l+p``.  Two exact 3j
+symmetries shape it further:
+
+* Parity: ``(l p v; 0 0 0) = 0`` for odd ``l + p + v``, so about half the
+  candidates of every row are exact zeros.
+* Reflection: ``(l p v; -m -q w) = (-1)^(l+p+v) (l p v; m q -w)``.  The sign
+  is +1 wherever the parity factor is nonzero, so
+  ``T(l(l+1) - m; p, -q; v(v+1) - w) = T(l(l+1) + m; p, q; v(v+1) + w)``, and
+  the rows of a block with ``w > 0`` are copied from its mirror block at
+  ``-w`` instead of being evaluated from 3j families.
 """
 
 from __future__ import annotations
@@ -212,6 +221,9 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
 
     These are the ``n = l(l+1) + m`` with ``m = w - k`` fixed by the
     longitude selection rule and ``max(|v-p|, |m|) <= l <= min(v+p, lf-1)``.
+    The candidates deliberately include the parity zeros (odd ``l + p + v``),
+    so every row of a block spans one contiguous degree range; the Gram of
+    :mod:`.filtering` drops those zero rows itself.
     """
     if p < 0 or abs(k) > p or u < 0 or lf < 1:
         raise ValueError("invalid triple-product indices")
@@ -225,6 +237,8 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
 # Bound of the row-plan cache, in blocks: the desk preset (4,232 blocks) fits
 # whole, so every denoise of a desk sweep after the first reuses its plans.
 # Larger runs only share each plan between the three stages of one ``u``.
+# A mirror block is at most ``2 (lg - 1) lh`` blocks back (3,280 at full
+# scale), so it is still cached when its reflection is built.
 # One packed record per block, not one cache entry per row: per-row entries
 # would hold the desk plan in 17.6 MB instead of 4.8 MB.
 @functools.lru_cache(maxsize=1 << 13)
@@ -234,21 +248,31 @@ def _row_plan(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[in
     Returns read-only ``(nn, values, offsets)``: row ``k`` is
     ``nn[offsets[k + p] : offsets[k + p + 1]]`` with its values at the same
     positions.  Forward transform, filter design and recovery all read their
-    rows from here.
+    rows from here.  A block with ``w > 0`` is built from the cached plan of
+    its mirror ``u - 2w`` by reflection, without any 3j family.
     """
     v, w = degree_and_order(u)
-    sign = -1.0 if w % 2 else 1.0
-    j0a, fa = _family(p, v, 0, 0)
     nns, vals, offsets = [], [], [0]
-    for k in range(-p, p + 1):
-        m = w - k
-        ls = np.arange(max(abs(v - p), abs(m)), min(v + p, lf - 1) + 1)
-        if ls.size:
-            j0b, fb = _family(p, v, k, -w)
-            scale = np.sqrt((2 * ls + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
-            nns.append(ls * (ls + 1) + m)
-            vals.append(sign * scale * fa[ls - j0a] * fb[ls - j0b])
-        offsets.append(offsets[-1] + ls.size)
+    if w > 0:
+        # Row k is row -k of the mirror (v, -w) with its order -m negated.
+        nn_m, values_m, offsets_m = _row_plan(p, u - 2 * w, lf)
+        for k in range(-p, p + 1):
+            row = slice(offsets_m[p - k], offsets_m[p - k + 1])
+            nns.append(nn_m[row] + 2 * (w - k))
+            vals.append(values_m[row])
+            offsets.append(offsets[-1] + row.stop - row.start)
+    else:
+        sign = -1.0 if w % 2 else 1.0
+        j0a, fa = _family(p, v, 0, 0)
+        for k in range(-p, p + 1):
+            m = w - k
+            ls = np.arange(max(abs(v - p), abs(m)), min(v + p, lf - 1) + 1)
+            if ls.size:
+                j0b, fb = _family(p, v, k, -w)
+                scale = np.sqrt((2 * ls + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
+                nns.append(ls * (ls + 1) + m)
+                vals.append(sign * scale * fa[ls - j0a] * fb[ls - j0b])
+            offsets.append(offsets[-1] + ls.size)
     nn = np.concatenate(nns) if nns else np.empty(0, dtype=np.intp)
     values = np.concatenate(vals) if vals else np.empty(0)
     nn.setflags(write=False)

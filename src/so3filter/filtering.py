@@ -92,6 +92,17 @@ class FilterDiagnostics:
         flagged = float((self.pinv_flag @ weights).sum())
         return flagged / float(self.pinv_flag.shape[0] * lh * lh)
 
+    @property
+    def block_counts(self) -> tuple[int, int, int]:
+        """``(empty, truncated, solved)`` ``(u, p)`` blocks; they sum to ``lg**2 * lh``.
+
+        Empty blocks have rank 0 and no flag, truncated ones the flag, and
+        solved ones a full-rank nonempty core.
+        """
+        truncated = int(self.pinv_flag.sum())
+        empty = int(((self.rank == 0) & ~self.pinv_flag).sum())
+        return empty, truncated, self.pinv_flag.size - empty - truncated
+
 
 @dataclass(frozen=True)
 class JointFilter:
@@ -124,6 +135,8 @@ def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
     nn, X = triple_product_block(p, u, lf)
     if nn.size == 0:
         return None, None
+    nz = (X != 0.0).any(axis=1)  # drop the parity zeros, about half the rows
+    nn, X = nn[nz], X[nz]
     sub = stacked[:, nn[:, None], nn[None, :]]
     M = X.T @ sub @ X
     keep = (X != 0.0).any(axis=0)

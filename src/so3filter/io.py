@@ -22,6 +22,22 @@ from .sphere import SphericalCoeffs
 PSD_TOL = 1e-10
 
 
+def _header_bandlimit(path, lines: list[str], tag: str, kind: str) -> int:
+    """Bandlimit ``L`` of a ``<tag> v1 L=<int>`` header; errors name ``path``."""
+    if not lines:
+        raise ValueError(f"{path}: empty {kind} file")
+    head = lines[0].split()
+    if len(head) != 3 or head[0] != tag or head[1] != "v1" or not head[2].startswith("L="):
+        raise ValueError(f"{path}: bad {kind} header {lines[0]!r}")
+    try:
+        L = int(head[2][2:])
+    except ValueError:
+        L = 0
+    if L < 1:
+        raise ValueError(f"{path}: {kind} header bandlimit {head[2]!r} is not a positive integer")
+    return L
+
+
 def write_coeffs(path, coeffs: SphericalCoeffs) -> None:
     L = coeffs.bandlimit
     lines = [f"slm v1 L={L}"]
@@ -32,12 +48,7 @@ def write_coeffs(path, coeffs: SphericalCoeffs) -> None:
 
 def read_coeffs(path) -> SphericalCoeffs:
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty coefficient file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "slm" or head[1] != "v1" or not head[2].startswith("L="):
-        raise ValueError(f"{path}: bad coefficient header {lines[0]!r}")
-    L = int(head[2][2:])
+    L = _header_bandlimit(path, lines, "slm", "coefficient")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != L * L:
         raise ValueError(f"{path}: expected {L * L} coefficient lines, found {len(body)}")
@@ -64,12 +75,7 @@ def write_covariance(path, cov: SpectralCovariance) -> None:
 
 def read_covariance(path) -> SpectralCovariance:
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty covariance file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "cov" or head[1] != "v1" or not head[2].startswith("L="):
-        raise ValueError(f"{path}: bad covariance header {lines[0]!r}")
-    L = int(head[2][2:])
+    L = _header_bandlimit(path, lines, "cov", "covariance")
     n = L * L
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n:

@@ -148,8 +148,10 @@ def denoise_with_diagnostics(
     if logger.isEnabledFor(logging.INFO):
         plan, family = coupling.cache_info()
         logger.info(
-            "coupling caches: row plans %d hits %d misses %d/%d held, "
+            "blocks %d empty %d truncated %d solved; coupling caches: "
+            "row plans %d hits %d misses %d/%d held, "
             "3j families %d hits %d misses %d/%d held",
+            *diag.block_counts,
             plan.hits, plan.misses, plan.currsize, plan.maxsize,
             family.hits, family.misses, family.currsize, family.maxsize,
         )

@@ -112,6 +112,22 @@ def test_denoise_reads_source_once(tmp_path, monkeypatch):
     assert reads.count(str(tmp_path / "s.slm")) == 1
 
 
+def test_denoise_rejects_source_bandlimit_mismatch(tmp_path):
+    from so3filter.io import write_coeffs
+
+    write_coeffs(tmp_path / "f.slm", make_test_signal(4, 1))
+    write_coeffs(tmp_path / "h.slm", make_test_signal(2, 2))
+    write_coeffs(tmp_path / "s.slm", make_test_signal(3, 3))
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--observed", str(tmp_path / "f.slm"),
+              "--window", str(tmp_path / "h.slm"),
+              "--source", str(tmp_path / "s.slm"),
+              "--out", str(tmp_path / "est.slm")])
+    assert str(tmp_path / "f.slm") in str(exc.value)
+    assert str(tmp_path / "s.slm") in str(exc.value)
+    assert not (tmp_path / "est.slm").exists()
+
+
 def test_denoise_requires_covariance_source(tmp_path):
     from so3filter.io import write_coeffs
 

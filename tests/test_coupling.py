@@ -21,7 +21,7 @@ from so3filter import (
     wigner3j_family,
 )
 from so3filter import coupling
-from so3filter.cli import DESK_PRESET
+from so3filter.cli import DESK_PRESET, FULL_PRESET
 from so3filter.coupling import triple_product_block
 
 from helpers import racah_3j, random_coeffs
@@ -223,11 +223,39 @@ class TestRowPlan:
             assert np.array_equal(tv_c, tv_w) and np.array_equal(tv_c, tv_r)
 
     def test_every_row_matches_scalar(self):
-        lf = 4
-        for p, q, u, nn, tv in _all_rows(lf, 3):
-            assert list(nn) == nonzero_n_range(p, q, u, lf)
-            for n, t in zip(nn, tv):
-                assert t == pytest.approx(triple_product(int(n), p, q, u), abs=1e-14)
+        # Rows of blocks with w > 0 are reflected copies.  The second size
+        # reaches |w| = 8 and walks u downwards from a cold cache, so each
+        # reflected block is built before its mirror.
+        for lf, lh, order in ((4, 3, 1), (6, 4, -1)):
+            coupling._row_plan.cache_clear()
+            for u in range((lf + lh - 1) ** 2)[::order]:
+                for p in range(lh):
+                    for q in range(-p, p + 1):
+                        nn, tv = triple_product_rows(p, q, u, lf)
+                        assert list(nn) == nonzero_n_range(p, q, u, lf)
+                        for n, t in zip(nn, tv):
+                            assert t == pytest.approx(triple_product(int(n), p, q, u), abs=1e-14)
+
+    def test_cold_build_skips_reflected_families(self):
+        # blocks with w > 0 copy their mirror's rows, so a cold build of every
+        # plan evaluates little over half the 3j families the rows need
+        lf, lh = 8, 4
+        lg = lf + lh - 1
+        needed = set()
+        for u in range(lg * lg):
+            v, w = degree_and_order(u)
+            for p in range(lh):
+                for k in range(-p, p + 1):
+                    if nonzero_n_range(p, k, u, lf):
+                        needed |= {(p, v, 0, 0), (p, v, k, -w)}
+        coupling._row_plan.cache_clear()
+        coupling._family.cache_clear()
+        for u in range(lg * lg):
+            for p in range(lh):
+                coupling._row_plan(p, u, lf)
+        info = coupling._family.cache_info()
+        assert len(needed) < info.maxsize  # no family was evicted and rebuilt
+        assert info.misses <= 0.6 * len(needed)
 
     def test_block_columns_equal_rows(self):
         lf, lh = 4, 3
@@ -257,6 +285,11 @@ class TestRowPlan:
         # a desk sweep reuses its plans only if every block stays cached
         lf, lh = DESK_PRESET["lf"], DESK_PRESET["lh"]
         assert (lf + lh - 1) ** 2 * lh <= coupling._row_plan.cache_info().maxsize
+
+    def test_full_scale_mirror_stays_cached(self):
+        # the mirror of (p, u) is (p, u - 2w), at most 2 (lg - 1) lh blocks back
+        lf, lh = FULL_PRESET["lf"], FULL_PRESET["lh"]
+        assert 2 * (lf + lh - 2) * lh <= coupling._row_plan.cache_info().maxsize
 
 
 class TestRoundingResidue:

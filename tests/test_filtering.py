@@ -16,6 +16,7 @@ from so3filter import (
     triple_product,
     SphericalCoeffs,
 )
+from so3filter.coupling import triple_product_block
 
 from helpers import random_coeffs, random_psd
 
@@ -144,6 +145,26 @@ class TestNormalRhs:
                         * cov.matrix[n, npr]
                     )
         assert np.abs(b - dense).max() < 1e-11
+
+
+class TestSparseGram:
+    def test_every_block_matches_dense_gram(self):
+        # the Gram skips the parity-zero rows of X; the dense X^T C X keeps them
+        lf, lh = 5, 3
+        cs, csum = _cov(lf, 7), _cov(lf, 8)
+        zero_columns = 0
+        for u in range((lf + lh - 1) ** 2):
+            for p in range(lh):
+                nn, X = triple_product_block(p, u, lf)
+                zero_columns += int((~X.any(axis=0)).sum())
+                A = (X.T @ csum.matrix[np.ix_(nn, nn)] @ X).T
+                B = X.T @ cs.matrix[np.ix_(nn, nn)] @ X
+                got_A = normal_matrix(p, u, csum)
+                assert np.abs(got_A - 0.5 * (A + A.conj().T)).max() <= 1e-13 * np.abs(A).max()
+                for q in range(-p, p + 1):
+                    got_b = normal_rhs(p, q, u, cs)
+                    assert np.abs(got_b - B[q + p]).max() <= 1e-13 * np.abs(B).max()
+        assert zero_columns > 0
 
 
 class TestDesign:

@@ -21,6 +21,17 @@ from so3filter.io import (
 from helpers import random_coeffs, random_psd
 
 
+@pytest.mark.parametrize("bandlimit", ["x", "0", "-2"])
+@pytest.mark.parametrize("tag", ["slm", "cov"])
+def test_rejects_bad_header_bandlimit(tmp_path, tag, bandlimit):
+    path = tmp_path / f"bad.{tag}"
+    path.write_text(f"{tag} v1 L={bandlimit}\n0 0 0\n")
+    reader = {"slm": read_coeffs, "cov": read_covariance}[tag]
+    with pytest.raises(ValueError, match="not a positive integer") as exc:
+        reader(path)
+    assert str(path) in str(exc.value)
+
+
 class TestCoeffFiles:
     def test_roundtrip(self, tmp_path):
         coeffs = random_coeffs(5, 1)

@@ -19,6 +19,7 @@ from so3filter import (
     build_signal_covariance,
     calibrate_snr,
     denoise,
+    denoise_with_diagnostics,
     design_filter,
     estimate_from_representation,
     forward_dslsht,
@@ -193,12 +194,16 @@ class TestDenoise:
             denoise(f, cs, cz, h)
         assert not caplog.records
         with caplog.at_level(logging.INFO, logger="so3filter"):
-            denoise(f, cs, cz, h)
+            _, diag = denoise_with_diagnostics(f, cs, cz, h)
         (record,) = [r for r in caplog.records if r.name == "so3filter.pipeline"]
         assert "row plans" in record.getMessage()
         assert "3j families" in record.getMessage()
         plan, _ = coupling.cache_info()
         assert f"{plan.currsize}/{plan.maxsize} held" in record.getMessage()
+        empty, truncated, solved = diag.block_counts
+        assert empty + truncated + solved == 4 * 4 * 2  # lg**2 * lh blocks
+        assert empty > 0 and solved > 0
+        assert f"blocks {empty} empty {truncated} truncated {solved} solved" in record.getMessage()
 
     def test_estimate_norm_bounded_by_operator_norm(self):
         lf, lh = 4, 2
