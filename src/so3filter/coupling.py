@@ -5,8 +5,11 @@ evaluated with the Luscombe-Luban two-sided scheme: ratio recursions through
 the nonclassical zones at both ends of the degree range, the three-term
 recursion across the classical middle, and a final normalisation by
 ``sum (2j+1) f(j)^2 = 1`` with the sign convention
-``sign f(jmax) = (-1)^(j1-j2-m3)``.  Families are memoised, and so is
-the packed set of triple-product rows of each ``(p, u)`` block.
+``sign f(jmax) = (-1)^(j1-j2-m3)``.  One kernel runs this scheme for many
+families of one degree pair ``(j1, j2)`` at once, vectorised over the
+families.  The triple-product rows of each degree pair are built from one
+kernel call and memoised, and so is the packed set of rows of each
+``(p, u)`` block, sliced from its degree pair's record.
 
 The triple product ``T(n; p, q; u) = integral Y_n Y_p^q conj(Y_u)`` reduces to
 two 3j factors; with ``n -> (l, m)`` and ``u -> (v, w)``,
@@ -22,8 +25,8 @@ symmetries shape it further:
 * Reflection: ``(l p v; -m -q w) = (-1)^(l+p+v) (l p v; m q -w)``.  The sign
   is +1 wherever the parity factor is nonzero, so
   ``T(l(l+1) - m; p, -q; v(v+1) - w) = T(l(l+1) + m; p, q; v(v+1) + w)``, and
-  the rows of a block with ``w > 0`` are copied from its mirror block at
-  ``-w`` instead of being evaluated from 3j families.
+  the rows with ``w > 0`` of a degree pair are copied from those at ``-w``
+  instead of being evaluated from 3j families.
 """
 
 from __future__ import annotations
@@ -37,133 +40,134 @@ from .sphere import degree_and_order
 
 _FOUR_PI = 4.0 * math.pi
 
+_families_evaluated = 0  # families (rows) the kernel has evaluated, for cache_info
 
-# Bound of the 3j family cache.  The row plans below are cached in place of
-# the families they are built from, so only recent families need to stay.
-@functools.lru_cache(maxsize=1 << 12)
-def _family(j1: int, j2: int, m1: int, m2: int) -> tuple[int, np.ndarray]:
-    """3j values ``(j1 j2 j; m1 m2 -(m1+m2))`` for every admissible ``j``.
 
-    Returns ``(jmin, values)`` with ``values[i]`` the symbol at
-    ``j = jmin + i`` up to ``j = j1 + j2``.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _families(j1: int, j2: int, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3j families ``(j1 j2 j; m1[r] m2[r] -(m1[r]+m2[r]))`` of one degree pair.
+
+    Returns ``(jmin, f)``: row ``r`` of ``f`` holds its family from
+    ``j = jmin[r]`` up to ``j1 + j2``, left-aligned and zero-padded to the
+    pair's widest range of ``2 min(j1, j2) + 1`` degrees.  Every step is
+    elementwise over the rows in a fixed order, so a family's values do not
+    depend on which other rows share its batch.
+
+    With ``X f(j+1) + Y f(j) + Z f(j-1) = 0`` each row follows one of five
+    cases, selected by per-row masks:
+
+    * two-sided: forward ratios ``f(j)/f(j+1)`` from ``jmin`` fix the anchor;
+      the three-term recursion runs up from it to where the backward ratios
+      ``f(j)/f(j-1)`` from ``jmax`` take over, one step later if the junction
+      falls on a near-node of the oscillation;
+    * bottom-vacuous, ``Y(jmin) = 0``: the anchor is where the backward ratios
+      stop, and the three-term recursion runs down from it;
+    * top-vacuous, ``Y(jmax) = 0``: the forward ratios fix the anchor and the
+      three-term recursion runs up to ``jmax``;
+    * parity, ``Y`` identically zero: every other symbol vanishes; this is the
+      bottom-vacuous case whose backward ratios stop at once, so the anchor
+      is ``jmax``;
+    * a single symbol, ``jmin = jmax``: the anchor alone.
     """
+    global _families_evaluated
+    m1 = np.asarray(m1, dtype=np.int64)
+    m2 = np.asarray(m2, dtype=np.int64)
+    rows = np.arange(m1.size)
+    _families_evaluated += m1.size
     m3 = -(m1 + m2)
-    jmin = max(abs(j1 - j2), abs(m3))
-    jmax = j1 + j2
-    nj = jmax - jmin + 1
-    sign_top = -1.0 if (j1 - j2 + m1 + m2) % 2 else 1.0
-    if nj == 1:
-        vals = np.array([sign_top / math.sqrt(2.0 * jmin + 1.0)])
-        vals.setflags(write=False)
-        return jmin, vals
-
-    js = np.arange(jmin, jmax + 1, dtype=np.float64)
+    jmin = np.maximum(abs(j1 - j2), np.abs(m3))
+    nj = j1 + j2 + 1 - jmin
+    top = nj - 1
+    width = 2 * min(j1, j2) + 1
+    # Arrays are (degree, row): each recursion step reads contiguous rows.
+    js = jmin + np.arange(width, dtype=np.float64)[:, None]
     diff2 = float((j1 - j2) ** 2)
     top2 = float((j1 + j2 + 1) ** 2)
+    m3sq = (m3 * m3).astype(np.float64)
 
     def _a(j):
-        return np.sqrt(np.maximum((j * j - diff2) * (top2 - j * j) * (j * j - m3 * m3), 0.0))
+        return np.sqrt(np.maximum((j * j - diff2) * (top2 - j * j) * (j * j - m3sq), 0.0))
 
     X = js * _a(js + 1.0)
     Y = (2.0 * js + 1.0) * (
         (m1 + m2) * (j1 * (j1 + 1.0) - j2 * (j2 + 1.0)) - (m1 - m2) * js * (js + 1.0)
     )
     Z = (js + 1.0) * _a(js)
+    bottom = Y[0] == 0.0
+    topvac = ~bottom & (Y[top, rows] == 0.0)
+    two_sided = ~(bottom | topvac)
 
-    def _forward_ratios():
-        # s[i] = f(i)/f(i+1) up from jmin while the ratios stay contracting;
-        # returns (s, anchor) with anchor the first classical-zone index.
-        s = np.zeros(nj)
-        anchor = 0
-        prev = 0.0
-        for i in range(nj - 1):
-            den = Y[i] + Z[i] * prev
-            if den == 0.0:
-                break
-            val = -X[i] / den
-            if not math.isfinite(val):
-                break
-            s[i] = val
-            prev = val
-            anchor = i + 1
-            if abs(val) > 1.0:
-                break
-        return s, anchor
+    # Forward ratios s[i] = f(i)/f(i+1) while they stay contracting; anchor
+    # is the first index past them.
+    s = np.empty((width, rows.size))
+    anchor = np.zeros(rows.size, dtype=np.int64)
+    prev = np.zeros(rows.size)
+    going = ~bottom
+    for i in range(width - 1):
+        going &= i < top
+        if not going.any():
+            break
+        den = Y[i] + Z[i] * prev
+        s[i] = prev = -X[i] / den
+        ok = going & (den != 0.0) & np.isfinite(prev)
+        anchor[ok] = i + 1
+        going = ok & (np.abs(prev) <= 1.0)
 
-    def _backward_ratios():
-        # r[i] = f(i)/f(i-1) down from jmax; returns (r, top_start) with
-        # indices >= top_start to be recovered by ratio expansion.
-        r = np.zeros(nj)
-        top_start = nj
-        prev = 0.0
-        for i in range(nj - 1, 0, -1):
-            den = Y[i] + X[i] * prev
-            if den == 0.0:
-                break
-            val = -Z[i] / den
-            if not math.isfinite(val):
-                break
-            r[i] = val
-            prev = val
-            top_start = i
-            if abs(val) > 1.0:
-                break
-        return r, top_start
+    # Backward ratios r[i] = f(i)/f(i-1) down from each row's own jmax;
+    # indices from top_start up are recovered by ratio expansion.
+    r = np.empty((width, rows.size))
+    top_start = nj.copy()
+    prev = np.zeros(rows.size)
+    pending = ~topvac
+    for i in range(width - 1, 0, -1):
+        if not pending.any():
+            break
+        going = pending & (i <= top)
+        den = Y[i] + X[i] * prev
+        r[i] = val = -Z[i] / den
+        ok = going & (den != 0.0) & np.isfinite(val)
+        top_start[ok] = i
+        prev = np.where(ok, val, 0.0)
+        pending &= ~going | (ok & (np.abs(val) <= 1.0))
 
-    f = np.zeros(nj)
-    if Y[0] == 0.0 and Y[-1] == 0.0:
-        # Parity family: every other symbol vanishes; chain down from the top,
-        # whose value is never zero.
-        f[-1] = 1.0
-        for i in range(nj - 2, 0, -2):
-            f[i - 1] = -X[i] * f[i + 1] / Z[i]
-    elif Y[0] == 0.0:
-        # The bottom boundary relation is vacuous (or f(jmin+1) = 0); anchor
-        # at the top and recurse downward, where Z never vanishes.
-        r, top_start = _backward_ratios()
-        anchor = top_start - 1
-        f[anchor] = 1.0
-        for i in range(anchor + 1, nj):
-            f[i] = f[i - 1] * r[i]
-        for i in range(anchor, 0, -1):
-            up = f[i + 1] if i + 1 < nj else 0.0
-            f[i - 1] = -(Y[i] * f[i] + X[i] * up) / Z[i]
-    elif Y[-1] == 0.0:
-        # Mirror case: anchor at the bottom and recurse upward.
-        s, anchor = _forward_ratios()
-        f[anchor] = 1.0
-        for i in range(anchor - 1, -1, -1):
-            f[i] = f[i + 1] * s[i]
-        for i in range(anchor, nj - 1):
-            down = f[i - 1] if i > 0 else 0.0
-            f[i + 1] = -(Y[i] * f[i] + Z[i] * down) / X[i]
-    else:
-        # Two-sided: ratio expansions through both nonclassical zones, the
-        # three-term recursion across the classical middle.
-        s, anchor = _forward_ratios()
-        r, top_start = _backward_ratios()
-        top_start = max(top_start, anchor + 1)
+    # Anchor a with f(a) = 1; from t up the backward ratios fill the family.
+    a = np.where(bottom, top_start - 1, anchor)
+    t = np.where(bottom, top_start, np.where(topvac, nj, np.maximum(top_start, anchor + 1)))
+    # f(jmin + i) sits at f[i + 1], with a zero on either side.
+    f = np.zeros((width + 2, rows.size))
+    f[a + 1, rows] = 1.0
+    # Down from the anchor by the forward ratios (all but bottom-vacuous).
+    for i in range(int(a.max(initial=0)), 0, -1):
+        f[i] = np.where(~bottom & (i <= a), f[i + 1] * s[i - 1], f[i])
+    # Up from the anchor: three-term recursion below t, ratios from t on.
+    t0 = t.copy()
+    for i in range(int(a.min(initial=width)) + 1, width):
+        near_node = np.abs(f[i]) < 1e-5 * np.abs(f[i - 1])
+        t += two_sided & (i == t0) & (i >= 2) & (i < nj) & near_node
+        three = -(Y[i - 1] * f[i] + Z[i - 1] * f[i - 1]) / X[i - 1]
+        ratio = np.where((t <= i) & (i < nj), f[i] * r[i], f[i + 1])
+        f[i + 1] = np.where((a < i) & (i < t), three, ratio)
+    # Bottom-vacuous: three-term recursion down from the anchor.
+    for i in range(int(a[bottom].max(initial=0)), 0, -1):
+        three = -(Y[i] * f[i + 1] + X[i] * f[i + 2]) / Z[i]
+        f[i] = np.where(bottom & (i <= a), three, f[i])
 
-        f[anchor] = 1.0
-        for i in range(anchor - 1, -1, -1):
-            f[i] = f[i + 1] * s[i]
-        for i in range(anchor, top_start - 1):
-            f[i + 1] = -(Y[i] * f[i] + Z[i] * f[i - 1]) / X[i]
-        if top_start < nj:
-            jn = top_start - 1
-            if jn >= 1 and abs(f[jn]) < 1e-5 * abs(f[jn - 1]):
-                # Junction fell on a near-node of the oscillation; push it up
-                # one step so the ratio expansion is anchored on a sound value.
-                f[jn + 1] = -(Y[jn] * f[jn] + Z[jn] * f[jn - 1]) / X[jn]
-                top_start += 1
-            for i in range(top_start, nj):
-                f[i] = f[i - 1] * r[i]
+    # (row, degree) from here: a row's sum is then its own pairwise sum.
+    f = np.ascontiguousarray(f[1:-1].T)
+    total = np.sum(np.ascontiguousarray(2.0 * js.T + 1.0) * f * f, axis=1)
+    last = f[rows, width - 1 - np.argmax(f[:, ::-1] != 0.0, axis=1)]
+    sign_top = np.where((j1 - j2 + m1 + m2) % 2, -1.0, 1.0)
+    return jmin, f * (sign_top * np.copysign(1.0, last) / np.sqrt(total))[:, None]
 
-    norm = math.sqrt(float(np.sum((2.0 * js + 1.0) * f * f)))
-    last = f[-1] if f[-1] != 0.0 else f[np.flatnonzero(f)[-1]]
-    f *= sign_top * math.copysign(1.0, last) / norm
-    f.setflags(write=False)
-    return jmin, f
+
+# Memoises the scalar API below; the row plans call the kernel directly.
+@functools.lru_cache(maxsize=1 << 12)
+def _single_family(j1: int, j2: int, m1: int, m2: int) -> tuple[int, np.ndarray]:
+    """One family through the kernel, as a batch of one."""
+    jmin, f = _families(j1, j2, [m1], [m2])
+    vals = f[0, : j1 + j2 + 1 - jmin[0]]
+    vals.setflags(write=False)
+    return int(jmin[0]), vals
 
 
 def wigner3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
@@ -180,7 +184,7 @@ def wigner3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
         return 0.0
     if l3 < max(abs(l1 - l2), abs(m3)) or l3 > l1 + l2:
         return 0.0
-    jmin, vals = _family(l1, l2, m1, m2)
+    jmin, vals = _single_family(l1, l2, m1, m2)
     return float(vals[l3 - jmin])
 
 
@@ -190,7 +194,7 @@ def wigner3j_family(l1: int, l2: int, m1: int, m2: int) -> tuple[int, np.ndarray
         raise ValueError("degrees must be nonnegative")
     if abs(m1) > l1 or abs(m2) > l2:
         raise ValueError("orders must satisfy |m| <= l")
-    jmin, vals = _family(l1, l2, m1, m2)
+    jmin, vals = _single_family(l1, l2, m1, m2)
     return jmin, vals.copy()
 
 
@@ -234,11 +238,53 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
     return [ell * (ell + 1) + m for ell in range(lmin, lmax + 1)]
 
 
+# Bound of the degree-pair record cache.  A denoise walks ``u`` in order and
+# reads every ``p`` at each ``u``, so it needs only the ``lh`` records of the
+# current ``v`` (20 at full scale) and builds each record once.
+@functools.lru_cache(maxsize=32)
+def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triple-product row ``T(.; p, k; v(v+1) + w)`` of one degree pair.
+
+    Returns read-only ``(nn, values, offsets)`` over the rows ``(w, k)``,
+    ``w`` from ``-v`` to ``v`` and, within each, ``k`` from ``-p`` to ``p``:
+    row ``r`` is ``nn[offsets[r] : offsets[r + 1]]`` with its values at the
+    same positions.  One kernel call evaluates the families of the nonempty
+    rows with ``w <= 0``; the rows with ``w > 0`` are their reflections.
+    """
+    w = np.repeat(np.arange(-v, 1), 2 * p + 1)
+    k = np.tile(np.arange(-p, p + 1), v + 1)
+    m = w - k
+    sizes = np.maximum(min(v + p, lf - 1) + 1 - np.maximum(abs(v - p), np.abs(m)), 0)
+    live = sizes > 0
+    jmin, fam = _families(p, v, k[live], -w[live])  # jmin is each row's lowest l
+    ls = jmin[:, None] + np.arange(fam.shape[1])  # padded l grid of the live rows
+    grid = np.zeros((w.size, fam.shape[1]))
+    nn = np.zeros(grid.shape, dtype=np.intp)
+    if live.any():
+        parity = fam[np.count_nonzero(live[: v * (2 * p + 1) + p])]  # row w = k = 0
+        grid[live] = (
+            np.where(w[live] % 2, -1.0, 1.0)[:, None]
+            * np.sqrt((2 * ls + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
+            * np.take(parity, ls - abs(v - p), mode="clip")
+            * fam
+        )
+        nn[live] = ls * (ls + 1) + m[live, None]
+    # Row (w, k) with w > 0 is row (-w, -k) with its order negated: the rows
+    # with w < 0 in reverse order.
+    neg = slice(0, v * (2 * p + 1))
+    grid = np.concatenate((grid, grid[neg][::-1]))
+    nn = np.concatenate((nn, (nn - 2 * m[:, None])[neg][::-1]))
+    sizes = np.concatenate((sizes, sizes[neg][::-1]))
+    packed = np.arange(grid.shape[1]) < sizes[:, None]
+    record = nn[packed], grid[packed], np.concatenate(([0], np.cumsum(sizes)))
+    for arr in record:
+        arr.setflags(write=False)
+    return record
+
+
 # Bound of the row-plan cache, in blocks: the desk preset (4,232 blocks) fits
 # whole, so every denoise of a desk sweep after the first reuses its plans.
 # Larger runs only share each plan between the three stages of one ``u``.
-# A mirror block is at most ``2 (lg - 1) lh`` blocks back (3,280 at full
-# scale), so it is still cached when its reflection is built.
 # One packed record per block, not one cache entry per row: per-row entries
 # would hold the desk plan in 17.6 MB instead of 4.8 MB.
 @functools.lru_cache(maxsize=1 << 13)
@@ -248,36 +294,14 @@ def _row_plan(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[in
     Returns read-only ``(nn, values, offsets)``: row ``k`` is
     ``nn[offsets[k + p] : offsets[k + p + 1]]`` with its values at the same
     positions.  Forward transform, filter design and recovery all read their
-    rows from here.  A block with ``w > 0`` is built from the cached plan of
-    its mirror ``u - 2w`` by reflection, without any 3j family.
+    rows from here; they are views into the record of the degree pair
+    ``(p, v)``.
     """
     v, w = degree_and_order(u)
-    nns, vals, offsets = [], [], [0]
-    if w > 0:
-        # Row k is row -k of the mirror (v, -w) with its order -m negated.
-        nn_m, values_m, offsets_m = _row_plan(p, u - 2 * w, lf)
-        for k in range(-p, p + 1):
-            row = slice(offsets_m[p - k], offsets_m[p - k + 1])
-            nns.append(nn_m[row] + 2 * (w - k))
-            vals.append(values_m[row])
-            offsets.append(offsets[-1] + row.stop - row.start)
-    else:
-        sign = -1.0 if w % 2 else 1.0
-        j0a, fa = _family(p, v, 0, 0)
-        for k in range(-p, p + 1):
-            m = w - k
-            ls = np.arange(max(abs(v - p), abs(m)), min(v + p, lf - 1) + 1)
-            if ls.size:
-                j0b, fb = _family(p, v, k, -w)
-                scale = np.sqrt((2 * ls + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
-                nns.append(ls * (ls + 1) + m)
-                vals.append(sign * scale * fa[ls - j0a] * fb[ls - j0b])
-            offsets.append(offsets[-1] + ls.size)
-    nn = np.concatenate(nns) if nns else np.empty(0, dtype=np.intp)
-    values = np.concatenate(vals) if vals else np.empty(0)
-    nn.setflags(write=False)
-    values.setflags(write=False)
-    return nn, values, tuple(offsets)
+    nn, values, offsets = _pair_record(p, v, lf)
+    first = (v + w) * (2 * p + 1)
+    rows = offsets[first : first + 2 * p + 2]
+    return nn[rows[0] : rows[-1]], values[rows[0] : rows[-1]], tuple((rows - rows[0]).tolist())
 
 
 def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +319,12 @@ def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np
 
 
 def cache_info():
-    """``functools`` cache statistics ``(row plans, 3j families)``."""
-    return _row_plan.cache_info(), _family.cache_info()
+    """``(row plans, degree-pair records, 3j families evaluated)``.
+
+    The first two are ``functools`` cache statistics; the last counts every
+    family the kernel has evaluated in this process.
+    """
+    return _row_plan.cache_info(), _pair_record.cache_info(), _families_evaluated
 
 
 def triple_product_block(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,14 +146,16 @@ def denoise_with_diagnostics(
     )
     est = estimate_from_components(filtered, h, lf)
     if logger.isEnabledFor(logging.INFO):
-        plan, family = coupling.cache_info()
+        plan, record, families = coupling.cache_info()
         logger.info(
             "blocks %d empty %d truncated %d solved; coupling caches: "
             "row plans %d hits %d misses %d/%d held, "
-            "3j families %d hits %d misses %d/%d held",
+            "degree-pair records %d hits %d misses %d/%d held, "
+            "%d 3j families evaluated",
             *diag.block_counts,
             plan.hits, plan.misses, plan.currsize, plan.maxsize,
-            family.hits, family.misses, family.currsize, family.maxsize,
+            record.hits, record.misses, record.currsize, record.maxsize,
+            families,
         )
     return est, diag
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from so3filter import PolarCap, make_test_signal, synthesize
+from so3filter import PolarCap, build_signal_covariance, make_test_signal, synthesize
 from so3filter.cli import main, parse_region, read_config
 from so3filter.io import read_coeffs, read_covariance
 
@@ -126,6 +126,37 @@ def test_denoise_rejects_source_bandlimit_mismatch(tmp_path):
     assert str(tmp_path / "f.slm") in str(exc.value)
     assert str(tmp_path / "s.slm") in str(exc.value)
     assert not (tmp_path / "est.slm").exists()
+
+
+@pytest.mark.parametrize("flag", ["--signal-cov", "--noise-cov"])
+def test_denoise_rejects_covariance_bandlimit_mismatch(tmp_path, flag):
+    from so3filter.io import write_coeffs, write_covariance
+
+    write_coeffs(tmp_path / "f.slm", make_test_signal(4, 1))
+    write_coeffs(tmp_path / "h.slm", make_test_signal(2, 2))
+    write_covariance(tmp_path / "good.cov", build_signal_covariance(make_test_signal(4, 3)))
+    write_covariance(tmp_path / "bad.cov", build_signal_covariance(make_test_signal(3, 3)))
+    covs = {"--signal-cov": "good.cov", "--noise-cov": "good.cov", flag: "bad.cov"}
+    args = ["denoise", "--observed", str(tmp_path / "f.slm"), "--window", str(tmp_path / "h.slm"),
+            "--out", str(tmp_path / "est.slm")]
+    for name, file in covs.items():
+        args += [name, str(tmp_path / file)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert str(tmp_path / "f.slm") in str(exc.value)
+    assert str(tmp_path / "bad.cov") in str(exc.value)
+    assert not (tmp_path / "est.slm").exists()
+
+
+def test_snr_rejects_bandlimit_mismatch(tmp_path):
+    from so3filter.io import write_coeffs
+
+    write_coeffs(tmp_path / "s.slm", make_test_signal(3, 1))
+    write_coeffs(tmp_path / "d.slm", make_test_signal(4, 2))
+    with pytest.raises(SystemExit) as exc:
+        main(["snr", "--signal", str(tmp_path / "s.slm"), "--observed", str(tmp_path / "d.slm")])
+    assert str(tmp_path / "s.slm") in str(exc.value)
+    assert str(tmp_path / "d.slm") in str(exc.value)
 
 
 def test_denoise_requires_covariance_source(tmp_path):

@@ -1,10 +1,11 @@
 """3j symbols, triple products and selection-rule ranges."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from so3filter import (
@@ -100,6 +101,65 @@ class TestWigner3j:
                     (2 * v + 1) * wigner3j(l, p, v, 0, 0, 0) ** 2 for v in range(l + p + 1)
                 )
                 assert abs(total - 1.0) < 1e-12
+
+
+def _case(j1, j2, m1, m2):
+    """Which of the kernel's five cases the family ``(j1 j2 j; m1 m2 .)`` takes.
+
+    Uses the exact integer recursion coefficient ``Y(j)`` at both ends.
+    """
+    jmin, jmax = max(abs(j1 - j2), abs(m1 + m2)), j1 + j2
+
+    def y(j):
+        return (2 * j + 1) * (
+            (m1 + m2) * (j1 * (j1 + 1) - j2 * (j2 + 1)) - (m1 - m2) * j * (j + 1)
+        )
+
+    if jmin == jmax:
+        return "single"
+    if y(jmin) == 0:
+        return "parity" if y(jmax) == 0 else "bottom-vacuous"
+    return "top-vacuous" if y(jmax) == 0 else "two-sided"
+
+
+class TestKernel:
+    def test_small_families_match_racah(self):
+        # every family with j1, j2 <= 6, one kernel batch per degree pair
+        cases = set()
+        for j1 in range(7):
+            for j2 in range(7):
+                m1, m2 = np.meshgrid(np.arange(-j1, j1 + 1), np.arange(-j2, j2 + 1))
+                m1, m2 = m1.ravel(), m2.ravel()
+                jmin, f = coupling._families(j1, j2, m1, m2)
+                assert f.shape == (m1.size, 2 * min(j1, j2) + 1)
+                for row, a, b, j0 in zip(f, m1.tolist(), m2.tolist(), jmin.tolist()):
+                    cases.add(_case(j1, j2, a, b))
+                    assert j0 == max(abs(j1 - j2), abs(a + b))
+                    for i, val in enumerate(row):
+                        j = j0 + i
+                        expected = racah_3j(j1, j2, j, a, b, -(a + b)) if j <= j1 + j2 else 0.0
+                        assert abs(val - expected) <= 1e-14
+        assert cases == {"two-sided", "bottom-vacuous", "top-vacuous", "parity", "single"}
+
+    @given(
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=90),
+        st.randoms(use_true_random=False),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(j1=19, j2=80, rnd=random.Random(0), share=1.0)  # 6,279 rows, as at full scale
+    @settings(max_examples=40, deadline=None)
+    def test_rows_do_not_depend_on_their_batch(self, j1, j2, rnd, share):
+        # a family's values are bit-identical alone and in any batch of its
+        # degree pair, from a single row up to every admissible one
+        pairs = [(a, b) for a in range(-j1, j1 + 1) for b in range(-j2, j2 + 1)]
+        rnd.shuffle(pairs)
+        m1, m2 = np.array(pairs[: 1 + round(share * (len(pairs) - 1))]).T
+        jmin, batch = coupling._families(j1, j2, m1, m2)
+        for r in rnd.sample(range(m1.size), min(m1.size, 8)):
+            alone = coupling._families(j1, j2, m1[r : r + 1], m2[r : r + 1])
+            assert jmin[r] == alone[0][0]
+            assert np.array_equal(batch[r], alone[1][0])
 
 
 class TestTripleProduct:
@@ -212,22 +272,24 @@ class TestRowPlan:
             return [(nn.copy(), tv.copy()) for *_, nn, tv in _all_rows(5, 3)]
 
         coupling._row_plan.cache_clear()
-        coupling._family.cache_clear()
+        coupling._pair_record.cache_clear()
         cold = rows()
         warm = rows()
         assert coupling._row_plan.cache_info().hits > 0
-        coupling._row_plan.cache_clear()  # rebuilt from cached 3j families
+        coupling._row_plan.cache_clear()  # rebuilt from cached degree-pair records
         rebuilt = rows()
+        assert coupling._pair_record.cache_info().hits > 0
         for (nn_c, tv_c), (nn_w, tv_w), (nn_r, tv_r) in zip(cold, warm, rebuilt):
             assert np.array_equal(nn_c, nn_w) and np.array_equal(nn_c, nn_r)
             assert np.array_equal(tv_c, tv_w) and np.array_equal(tv_c, tv_r)
 
     def test_every_row_matches_scalar(self):
         # Rows of blocks with w > 0 are reflected copies.  The second size
-        # reaches |w| = 8 and walks u downwards from a cold cache, so each
-        # reflected block is built before its mirror.
+        # reaches |w| = 8 and walks u downwards from cold caches, so each
+        # reflected block is read before its mirror.
         for lf, lh, order in ((4, 3, 1), (6, 4, -1)):
             coupling._row_plan.cache_clear()
+            coupling._pair_record.cache_clear()
             for u in range((lf + lh - 1) ** 2)[::order]:
                 for p in range(lh):
                     for q in range(-p, p + 1):
@@ -237,8 +299,8 @@ class TestRowPlan:
                             assert t == pytest.approx(triple_product(int(n), p, q, u), abs=1e-14)
 
     def test_cold_build_skips_reflected_families(self):
-        # blocks with w > 0 copy their mirror's rows, so a cold build of every
-        # plan evaluates little over half the 3j families the rows need
+        # rows with w > 0 are reflections, so a cold build of every plan
+        # evaluates little over half the 3j families the rows need
         lf, lh = 8, 4
         lg = lf + lh - 1
         needed = set()
@@ -249,13 +311,14 @@ class TestRowPlan:
                     if nonzero_n_range(p, k, u, lf):
                         needed |= {(p, v, 0, 0), (p, v, k, -w)}
         coupling._row_plan.cache_clear()
-        coupling._family.cache_clear()
+        coupling._pair_record.cache_clear()
+        *_, before = coupling.cache_info()
         for u in range(lg * lg):
             for p in range(lh):
                 coupling._row_plan(p, u, lf)
-        info = coupling._family.cache_info()
-        assert len(needed) < info.maxsize  # no family was evicted and rebuilt
-        assert info.misses <= 0.6 * len(needed)
+        _, records, after = coupling.cache_info()
+        assert records.misses == lg * lh  # no record was evicted and rebuilt
+        assert after - before <= 0.6 * len(needed)
 
     def test_block_columns_equal_rows(self):
         lf, lh = 4, 3
@@ -286,10 +349,21 @@ class TestRowPlan:
         lf, lh = DESK_PRESET["lf"], DESK_PRESET["lh"]
         assert (lf + lh - 1) ** 2 * lh <= coupling._row_plan.cache_info().maxsize
 
-    def test_full_scale_mirror_stays_cached(self):
-        # the mirror of (p, u) is (p, u - 2w), at most 2 (lg - 1) lh blocks back
-        lf, lh = FULL_PRESET["lf"], FULL_PRESET["lh"]
-        assert 2 * (lf + lh - 2) * lh <= coupling._row_plan.cache_info().maxsize
+    def test_full_scale_records_stay_cached(self):
+        # a denoise reads the lh records (p, v) of one v at a time, so a
+        # cache of at least lh records builds each of them exactly once
+        assert FULL_PRESET["lh"] <= coupling._pair_record.cache_info().maxsize
+        lf, lh = 6, 4  # 36 records, more than the cache holds
+        assert (lf + lh - 1) * lh > coupling._pair_record.cache_info().maxsize
+        coupling._row_plan.cache_clear()
+        coupling._pair_record.cache_clear()
+        denoise(
+            random_coeffs(lf, 1),
+            build_signal_covariance(random_coeffs(lf, 3)),
+            SpectralCovariance.zeros(lf),
+            random_coeffs(lh, 2),
+        )
+        assert coupling._pair_record.cache_info().misses == (lf + lh - 1) * lh
 
 
 class TestRoundingResidue:

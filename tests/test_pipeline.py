@@ -196,10 +196,14 @@ class TestDenoise:
         with caplog.at_level(logging.INFO, logger="so3filter"):
             _, diag = denoise_with_diagnostics(f, cs, cz, h)
         (record,) = [r for r in caplog.records if r.name == "so3filter.pipeline"]
-        assert "row plans" in record.getMessage()
-        assert "3j families" in record.getMessage()
-        plan, _ = coupling.cache_info()
+        plan, pairs, families = coupling.cache_info()
+        assert f"row plans {plan.hits} hits {plan.misses} misses" in record.getMessage()
         assert f"{plan.currsize}/{plan.maxsize} held" in record.getMessage()
+        assert (
+            f"degree-pair records {pairs.hits} hits {pairs.misses} misses "
+            f"{pairs.currsize}/{pairs.maxsize} held"
+        ) in record.getMessage()
+        assert f"{families} 3j families evaluated" in record.getMessage()
         empty, truncated, solved = diag.block_counts
         assert empty + truncated + solved == 4 * 4 * 2  # lg**2 * lh blocks
         assert empty > 0 and solved > 0
