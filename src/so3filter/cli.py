@@ -88,6 +88,14 @@ def _cmd_synth_noise(args) -> int:
     return 0
 
 
+def _read(reader, path):
+    """``reader(path)``; a malformed file exits with the reader's one-line message."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _check_bandlimit(flag: str, path, data, observed_path, observed) -> None:
     """Exit, naming both files, unless ``data`` (read from ``path`` for
     ``flag``) has the bandlimit of ``observed``."""
@@ -99,28 +107,28 @@ def _check_bandlimit(flag: str, path, data, observed_path, observed) -> None:
 
 
 def _cmd_snr(args) -> int:
-    s = sfio.read_coeffs(args.signal)
-    d = sfio.read_coeffs(args.observed)
+    s = _read(sfio.read_coeffs, args.signal)
+    d = _read(sfio.read_coeffs, args.observed)
     _check_bandlimit("--signal", args.signal, s, args.observed, d)
     print(f"{snr(d, s):.6f}")
     return 0
 
 
 def _cmd_denoise(args) -> int:
-    f = sfio.read_coeffs(args.observed)
-    h = sfio.read_coeffs(args.window)
-    s = sfio.read_coeffs(args.source) if args.source else None
+    f = _read(sfio.read_coeffs, args.observed)
+    h = _read(sfio.read_coeffs, args.window)
+    s = _read(sfio.read_coeffs, args.source) if args.source else None
     if s is not None:
         _check_bandlimit("--source", args.source, s, args.observed, f)
     if args.signal_cov:
-        cs = sfio.read_covariance(args.signal_cov)
+        cs = _read(sfio.read_covariance, args.signal_cov)
         _check_bandlimit("--signal-cov", args.signal_cov, cs, args.observed, f)
     elif s is not None:
         cs = build_signal_covariance(s)
     else:
         raise SystemExit("denoise needs --signal-cov or --source")
     if args.noise_cov:
-        cz = sfio.read_covariance(args.noise_cov)
+        cz = _read(sfio.read_covariance, args.noise_cov)
         _check_bandlimit("--noise-cov", args.noise_cov, cz, args.observed, f)
     else:
         cz = SpectralCovariance.zeros(f.bandlimit)
@@ -132,7 +140,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    coeffs = sfio.read_coeffs(args.coeffs)
+    coeffs = _read(sfio.read_coeffs, args.coeffs)
     paths = render_map(coeffs, args.rows, args.cols, args.out)
     for kind, path in paths.items():
         logger.info("%s raster: %s", kind, path)
@@ -183,11 +191,11 @@ def _cmd_benchmark(args) -> int:
             cfg.lf, cfg.lh,
         )
     if cfg.signal_path:
-        s = sfio.read_coeffs(cfg.signal_path)
+        s = _read(sfio.read_coeffs, cfg.signal_path)
     else:
         s = make_test_signal(cfg.lf, cfg.seed)
     if cfg.window_path:
-        h = sfio.read_coeffs(cfg.window_path)
+        h = _read(sfio.read_coeffs, cfg.window_path)
     else:
         h = slepian_window(cfg.region, cfg.lh).window()
     result = benchmark(cfg, s, h)

@@ -13,10 +13,17 @@ Expanding in rotation-group harmonics gives pure coefficient arithmetic,
 with triple products restricted by their selection rules.  Each component is
 bandlimited to ``lh`` in the rotation variable and to ``lg = lf + lh - 1`` in
 the harmonic index ``u``.
+
+Each component is rank one in the window order ``q'``:
+``(g_f(.; u))^p_{q, q'} = tau_{p, q}(u) (h)_p^{q'}`` with
+``tau_{p, q}(u) = sum_n T(n; p, q; u) (f)_n``.  The streaming kernel works on
+``tau(u)``, of shape ``(lh, 2lh-1)``; only the materialised representation
+expands it into cubes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +103,42 @@ def psi_coeffs(u: int, n: int, h: SphericalCoeffs) -> WignerCoeffs:
     return WignerCoeffs(lh, cube)
 
 
-def forward_component(
-    u: int, f: SphericalCoeffs, hb: np.ndarray, lh: int
-) -> np.ndarray:
-    """One ``u`` component of the forward transform as a coefficient cube."""
-    lf = f.bandlimit
-    off = lh - 1
-    cube = np.zeros((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-    for p in range(lh):
-        for q in range(-p, p + 1):
-            nn, tv = triple_product_rows(p, q, u, lf)
-            if nn.size == 0:
-                continue
-            tau = np.dot(tv, f.data[nn])
-            if tau != 0.0:
-                cube[p, off + q, off - p : off + p + 1] = tau * hb[p, off - p : off + p + 1]
-    return cube
+@functools.lru_cache(maxsize=None)
+def _slots(lh: int) -> np.ndarray:
+    """Flat ``(p, q + lh - 1)`` positions of the rows ``|q| <= p < lh``, in row order."""
+    orders = np.abs(np.arange(2 * lh - 1) - (lh - 1))
+    return np.flatnonzero(orders <= np.arange(lh)[:, None])
+
+
+def component_rows(u: int, lf: int, lh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triple-product row ``T(.; p, q; u)`` of component ``u``, concatenated.
+
+    Returns ``(nn, values, slot)``: entry ``i`` is ``T(nn[i]; p, q; u)``, and
+    ``slot[i] = p (2lh - 1) + q + lh - 1`` is the place of its row in the flat
+    ``(lh, 2lh-1)`` layout of ``tau(u)``.
+    """
+    rows = [triple_product_rows(p, q, u, lf) for p in range(lh) for q in range(-p, p + 1)]
+    slot = np.repeat(_slots(lh), [nn.size for nn, _ in rows])
+    return np.concatenate([nn for nn, _ in rows]), np.concatenate([tv for _, tv in rows]), slot
+
+
+def scatter_sum(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex ``out`` of length ``size`` with ``out[index[i]] += values[i]``."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, values.real, size)
+    out.imag = np.bincount(index, values.imag, size)
+    return out
+
+
+def forward_component(u: int, f: SphericalCoeffs, lh: int) -> np.ndarray:
+    """``tau(u)``: ``tau[p, q + lh - 1] = sum_n T(n; p, q; u) (f)_n``, zero for ``|q| > p``.
+
+    Component ``u`` of the forward transform is ``tau[:, :, None] * hb[:, None, :]``
+    with ``hb = window_blocks(h)``.
+    """
+    nn, tv, slot = component_rows(u, f.bandlimit, lh)
+    tau = scatter_sum(slot, tv * f.data[nn], lh * (2 * lh - 1))
+    return tau.reshape(lh, 2 * lh - 1)
 
 
 def forward_dslsht(f: SphericalCoeffs, h: SphericalCoeffs) -> DslshtRep:
@@ -120,11 +147,8 @@ def forward_dslsht(f: SphericalCoeffs, h: SphericalCoeffs) -> DslshtRep:
         raise ValueError("window must be nonzero")
     lf, lh = f.bandlimit, h.bandlimit
     lg = lf + lh - 1
-    hb = window_blocks(h)
-    data = np.empty((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-    for u in range(lg * lg):
-        data[u] = forward_component(u, f, hb, lh)
-    return DslshtRep(lf, lh, data)
+    tau = np.stack([forward_component(u, f, lh) for u in range(lg * lg)])
+    return DslshtRep(lf, lh, tau[:, :, :, None] * window_blocks(h)[:, None, :])
 
 
 def dslsht_direct(

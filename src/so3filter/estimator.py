@@ -12,10 +12,19 @@ the minimiser is explicit:
     (s~)_n = (2 pi <h, h>)^{-1} sum_u <nu(.; u), psi_{u,n}>,
 
 with every rotation-group integral evaluated exactly in coefficient space
-via the ``8 pi^2 / (2p+1)`` orthogonality weights.  Folding the filter into
-this formula gives a single recovery matrix mapping observation coefficients
-straight to the estimate, worth materialising when one filter serves many
-observations.
+via the ``8 pi^2 / (2p+1)`` orthogonality weights.  Only the window
+contraction ``nh[p, q] = sum_q' (nu(.; u))^p_{q, q'} conj((h)_p^{q'})`` of a
+component enters, and ``sum_n`` runs over the triple-product rows:
+
+    <nu(.; u), psi_{u,n}> = sum_{p, q} (8 pi^2 / (2p+1)) nh[p, q] T(n; p, q; u).
+
+A filtered component ``zeta(.; u) g(.; u)`` is rank one in ``q'`` like
+``g(.; u)``, so its ``nh`` is ``(zeta tau)[p, q] * sum_q' |(h)_p^{q'}|^2``
+(see :mod:`.dslsht`) and no cube is formed.  The streaming denoise and the
+materialised representation feed the same accumulation.  Folding the filter
+into this formula gives a single recovery matrix mapping observation
+coefficients straight to the estimate, worth materialising when one filter
+serves many observations.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import triple_product_block, triple_product_rows
-from .dslsht import DslshtRep, window_blocks
+from .coupling import triple_product_block
+from .dslsht import DslshtRep, component_rows, scatter_sum, window_blocks
 from .filtering import JointFilter
 from .sphere import SphericalCoeffs
 
@@ -35,38 +44,29 @@ from .sphere import SphericalCoeffs
 _W_SO3 = 8.0 * math.pi**2
 
 
-def accumulate_component(
-    acc: np.ndarray,
-    u: int,
-    nu_u: np.ndarray,
-    hb_conj: np.ndarray,
-    lf: int,
-    lh: int,
-) -> None:
-    """Add component ``u``'s contribution ``sum_p w_p <nu, psi>`` into ``acc``."""
-    off = lh - 1
-    nh = np.einsum("pqr,pr->pq", nu_u, hb_conj)
-    for p in range(lh):
-        w = _W_SO3 / (2 * p + 1)
-        for q in range(-p, p + 1):
-            nn, tv = triple_product_rows(p, q, u, lf)
-            if nn.size:
-                acc[nn] += w * nh[p, off + q] * tv
+def accumulate_component(acc: np.ndarray, u: int, nh: np.ndarray, lf: int, lh: int) -> None:
+    """Add ``<nu(.; u), psi_{u,n}>`` into ``acc[n]`` for every ``n``.
+
+    ``nh`` is the ``(lh, 2lh-1)`` window contraction of ``nu(.; u)``; every
+    row of ``u`` is scattered in one pass.
+    """
+    nn, tv, slot = component_rows(u, lf, lh)
+    coef = (nh * (_W_SO3 / (2 * np.arange(lh) + 1))[:, None]).ravel()
+    acc += scatter_sum(nn, coef[slot] * tv, acc.size)
 
 
 def estimate_from_components(components, h: SphericalCoeffs, lf: int) -> SphericalCoeffs:
-    """Least-squares source estimate from the components ``nu(.; u)``.
+    """Least-squares source estimate from the window contractions ``nh(u)``.
 
-    ``components`` yields one ``(lh, 2lh-1, 2lh-1)`` cube per ``u`` in order;
-    it may be lazy, since each cube is used once and then dropped.
+    ``components`` yields one ``(lh, 2lh-1)`` array per ``u`` in order; it
+    may be lazy, since each is used once and then dropped.
     """
     hh = float(np.sum(np.abs(h.data) ** 2))
     if hh == 0.0:
         raise ValueError("window must be nonzero")
-    hb_conj = np.conj(window_blocks(h))
     acc = np.zeros(lf * lf, dtype=np.complex128)
-    for u, nu_u in enumerate(components):
-        accumulate_component(acc, u, nu_u, hb_conj, lf, h.bandlimit)
+    for u, nh in enumerate(components):
+        accumulate_component(acc, u, nh, lf, h.bandlimit)
     return SphericalCoeffs(lf, acc / (2.0 * math.pi * hh))
 
 
@@ -76,7 +76,9 @@ def estimate_from_representation(
     """Least-squares source estimate from a (filtered) representation."""
     if h.bandlimit != rep.lh:
         raise ValueError("window bandlimit does not match the representation")
-    return estimate_from_components(rep.data, h, rep.lf)
+    hb_conj = np.conj(window_blocks(h))[:, :, None]
+    contractions = ((cube @ hb_conj)[..., 0] for cube in rep.data)
+    return estimate_from_components(contractions, h, rep.lf)
 
 
 @dataclass(frozen=True)

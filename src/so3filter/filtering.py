@@ -7,12 +7,18 @@ spectral covariances through triple products:
     A[k', k] = sum_{n, n'} T(n; p, k; u) conj(T(n'; p, k'; u)) (Cs + Cz)[n, n']
     b[k']    = sum_{n, n'} T(n; p, q; u) conj(T(n'; p, k'; u)) Cs[n, n']
 
-``A`` is Hermitian positive semidefinite.  Orders ``k`` whose triple-product
-column is structurally empty contribute exact zero rows/columns and are
-removed before solving; the remaining core is solved by Hermitian
-eigendecomposition with eigenvalues below ``RCOND`` times the largest
-truncated, which yields the minimum-norm least-squares solution whenever the
-core is rank deficient (those blocks are flagged as truncated).
+With ``X[n, k] = T(n; p, k; u)`` (real) both are transposed Gram matrices:
+``A = (X^T (Cs + Cz) X)^T`` and ``b(p, q, u) = (X^T Cs X)[q, :]``.  ``A`` is
+Hermitian positive semidefinite.  The Gram is formed only on the block's
+*core*: rows of ``X`` that the selection rules leave at zero (the parity
+zeros, about half) are dropped, and so are orders ``k`` whose column is
+structurally empty, since they contribute exact zero rows and columns.  Both
+covariances are gathered in one pass and contracted with the real ``X`` as
+real matrix products on their ``float64`` view.  The core is solved by
+Hermitian eigendecomposition with eigenvalues below ``RCOND`` times the
+largest truncated, which yields the minimum-norm least-squares solution
+whenever the core is rank deficient (those blocks are flagged as truncated);
+orders outside the core get zero coefficients.
 """
 
 from __future__ import annotations
@@ -45,9 +51,9 @@ class SpectralCovariance:
             raise ValueError(f"expected a {n} x {n} matrix, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("covariance matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(mat).max()))
+        # Relative to the matrix's own scale; an all-zero matrix passes.
         asym = float(np.abs(mat - mat.conj().T).max())
-        if asym > 1e-12 * scale:
+        if asym > 1e-12 * float(np.abs(mat).max()):
             raise ValueError("covariance matrix is not Hermitian")
         mat = 0.5 * (mat + mat.conj().T)
         mat.setflags(write=False)
@@ -131,24 +137,47 @@ class JointFilter:
 
 
 def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
-    """Gram matrices ``X^T C X`` for each stacked covariance; ``None`` if empty."""
+    """Core normal matrices of block ``(p, u)`` for each stacked covariance.
+
+    Returns ``(G, keep)``: ``keep`` marks the orders ``k`` with a nonempty
+    triple-product column, and ``G[s]`` is ``(X^T C_s X)^T`` restricted to
+    them, so ``G[s][k', k]`` is ``A[k', k]`` for ``C_s``.  ``G`` is ``None``
+    when no order is kept.
+    """
     nn, X = triple_product_block(p, u, lf)
+    rows = X.any(axis=1)  # drop the parity zeros, about half the rows
+    nn, X = nn[rows], X[rows]
+    keep = X.any(axis=0)
     if nn.size == 0:
-        return None, None
-    nz = (X != 0.0).any(axis=1)  # drop the parity zeros, about half the rows
-    nn, X = nn[nz], X[nz]
-    sub = stacked[:, nn[:, None], nn[None, :]]
-    M = X.T @ sub @ X
-    keep = (X != 0.0).any(axis=0)
-    return M, keep
+        return None, keep
+    if not keep.all():
+        X = X[:, keep]
+    m, c = X.shape
+    n = stacked.shape[-1]
+    # S[i, s, j] = stacked[s, nn[i], nn[j]], gathered with one flat take.
+    layers = np.arange(stacked.shape[0]) * (n * n)
+    S = stacked.ravel().take(nn[:, None, None] * n + layers[:, None] + nn)
+    # Real GEMMs on the (re, im) interleaved view: T[a, s, j] = (X^T C_s)[a, j],
+    # then G[b, a, s] = sum_j X[j, b] T[a, s, j] = (X^T C_s X)[a, b].
+    T = X.T @ S.view(np.float64).reshape(m, -1)
+    T = T.reshape(c, -1, m, 2).transpose(2, 0, 1, 3).reshape(m, -1)
+    G = (X.T @ T).view(np.complex128).reshape(c, c, -1)
+    return G.transpose(2, 0, 1), keep
+
+
+def _full_normal(p: int, u: int, cov: SpectralCovariance) -> np.ndarray:
+    """``(X^T C X)^T`` of block ``(p, u)`` at full ``(2p+1, 2p+1)`` size."""
+    out = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
+    G, keep = _gram_pair(p, u, cov.matrix[None], cov.bandlimit)
+    if G is not None:
+        k = np.flatnonzero(keep)
+        out[k[:, None], k] = G[0]
+    return out
 
 
 def normal_matrix(p: int, u: int, csum: SpectralCovariance) -> np.ndarray:
     """Normal-equation matrix ``A(p, u)`` for the summed covariance."""
-    M, _ = _gram_pair(p, u, csum.matrix[None], csum.bandlimit)
-    if M is None:
-        return np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
-    A = M[0].T.copy()
+    A = _full_normal(p, u, csum)
     return 0.5 * (A + A.conj().T)
 
 
@@ -156,10 +185,7 @@ def normal_rhs(p: int, q: int, u: int, cs: SpectralCovariance) -> np.ndarray:
     """Right-hand side ``b(p, q, u)`` for the signal covariance."""
     if abs(q) > p:
         raise ValueError("|q| must not exceed p")
-    M, _ = _gram_pair(p, u, cs.matrix[None], cs.bandlimit)
-    if M is None:
-        return np.zeros(2 * p + 1, dtype=np.complex128)
-    return M[0][q + p, :].copy()
+    return _full_normal(p, u, cs)[:, q + p].copy()
 
 
 def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
@@ -167,15 +193,16 @@ def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
 
     ``stacked`` holds ``[Cs + Cz, Cs]``.  Returns the ``(2p+1, 2p+1)`` zeta
     block indexed ``[q + p, k + p]`` plus ``(rank, cond, flagged)``.  The
-    solve is minimum-norm on the structurally nonempty core; orders ``k``
-    outside it get zero coefficients.  ``flagged`` means the rank fell short
-    of the core size; an empty block has rank 0 and is not flagged.
+    solve is minimum-norm on the structurally nonempty core; orders ``q``
+    and ``k`` outside it get zero coefficients.  ``flagged`` means the rank
+    fell short of the core size; an empty block has rank 0 and is not
+    flagged.
     """
     zeta = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
-    M, keep = _gram_pair(p, u, stacked, lf)
-    if M is None or not keep.any():
+    G, keep = _gram_pair(p, u, stacked, lf)
+    if G is None:
         return zeta, 0, math.inf, False
-    A = M[0].T[np.ix_(keep, keep)]
+    A, R = G  # column q of R holds b(p, q, u) on the core
     w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
     wmax = float(w[-1])
     if wmax <= 0.0:
@@ -183,10 +210,15 @@ def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
     pos = w > RCOND * wmax
     rank = int(pos.sum())
     cond = wmax / float(w[0]) if w[0] > 0.0 else math.inf
-    Vp = V[:, pos]
-    R = M[1].T[keep, :]  # column q holds b(p, q, u)
-    zeta[:, keep] = (Vp @ ((Vp.conj().T @ R) / w[pos][:, None])).T
-    return zeta, rank, cond, rank < int(keep.sum())
+    flagged = rank < w.size
+    if flagged:
+        V, w = V[:, pos], w[pos]
+    core = (V @ ((V.conj().T @ R) / w[:, None])).T
+    if keep.all():
+        return core, rank, cond, flagged
+    k = np.flatnonzero(keep)
+    zeta[k[:, None], k] = core
+    return zeta, rank, cond, flagged
 
 
 def design_component(

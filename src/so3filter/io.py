@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,21 +47,31 @@ def write_coeffs(path, coeffs: SphericalCoeffs) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _body(lines: list[str]) -> list[tuple[int, str]]:
+    """Nonblank lines after the header, with their 1-based line numbers."""
+    return [(num, ln) for num, ln in enumerate(lines[1:], start=2) if ln.strip()]
+
+
 def read_coeffs(path) -> SphericalCoeffs:
     lines = Path(path).read_text().splitlines()
     L = _header_bandlimit(path, lines, "slm", "coefficient")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = _body(lines)
     if len(body) != L * L:
         raise ValueError(f"{path}: expected {L * L} coefficient lines, found {len(body)}")
     data = np.empty(L * L, dtype=np.complex128)
-    for i, ln in enumerate(body):
+    for i, (num, ln) in enumerate(body):
         parts = ln.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}: bad coefficient line {ln!r}")
-        n = int(parts[0])
+            raise ValueError(f"{path}: line {num}: bad coefficient line {ln!r}")
+        try:
+            n, re, im = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {num}: {exc}") from None
         if n != i:
-            raise ValueError(f"{path}: coefficient lines out of order at {ln!r}")
-        data[i] = complex(float(parts[1]), float(parts[2]))
+            raise ValueError(f"{path}: line {num}: coefficient lines out of order at {ln!r}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"{path}: line {num}: non-finite coefficient {ln!r}")
+        data[i] = complex(re, im)
     return SphericalCoeffs(L, data)
 
 
@@ -77,14 +88,21 @@ def read_covariance(path) -> SpectralCovariance:
     lines = Path(path).read_text().splitlines()
     L = _header_bandlimit(path, lines, "cov", "covariance")
     n = L * L
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = _body(lines)
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} covariance rows, found {len(body)}")
     mat = np.empty((n, n), dtype=np.complex128)
-    for i, ln in enumerate(body):
-        vals = np.array(ln.split(), dtype=np.float64)
+    for i, (num, ln) in enumerate(body):
+        try:
+            vals = np.array(ln.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {num}: {exc}") from None
         if vals.size != 2 * n:
-            raise ValueError(f"{path}: covariance row {i} has {vals.size} values, expected {2 * n}")
+            raise ValueError(
+                f"{path}: line {num}: covariance row {i} has {vals.size} values, expected {2 * n}"
+            )
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{path}: line {num}: covariance row {i} has non-finite entries")
         mat[i] = vals[0::2] + 1j * vals[1::2]
     cov = SpectralCovariance(L, mat)
     w = np.linalg.eigvalsh(cov.matrix)

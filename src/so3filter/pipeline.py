@@ -8,7 +8,10 @@ with norms taken in coefficient space.
 ``denoise`` runs the full chain: analyse the observation with a window,
 design the per-component MMSE filter, apply it, and recover the source
 estimate by least squares.  Components are processed one harmonic index at a
-time, so memory stays modest even at large bandlimits.
+time, so memory stays modest even at large bandlimits.  Each component
+streams as its rank-one factor ``tau(u)``: the filter maps it to
+``zeta(u) tau(u)``, and recovery needs only that times the per-degree window
+power ``sum_q' |(h)_p^{q'}|^2``.
 """
 
 from __future__ import annotations
@@ -138,13 +141,15 @@ def denoise_with_diagnostics(
     lh = h.bandlimit
     lg = lf + lh - 1
     stacked = np.stack([cs.matrix + cz.matrix, cs.matrix])
-    hb = window_blocks(h)
+    hpow = np.sum(np.abs(window_blocks(h)) ** 2, axis=1)[:, None]  # per-degree window power
     diag = FilterDiagnostics.zeros(lg, lh)
-    filtered = (
-        design_component(u, stacked, lf, lh, diag) @ forward_component(u, f, hb, lh)
-        for u in range(lg * lg)
-    )
-    est = estimate_from_components(filtered, h, lf)
+
+    def filtered(u: int) -> np.ndarray:
+        """Window contraction ``nh(u)`` of the filtered component ``zeta(u) (tau(u) h)``."""
+        zeta = design_component(u, stacked, lf, lh, diag)
+        return (zeta @ forward_component(u, f, lh)[..., None])[..., 0] * hpow
+
+    est = estimate_from_components(map(filtered, range(lg * lg)), h, lf)
     if logger.isEnabledFor(logging.INFO):
         plan, record, families = coupling.cache_info()
         logger.info(

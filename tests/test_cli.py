@@ -159,6 +159,47 @@ def test_snr_rejects_bandlimit_mismatch(tmp_path):
     assert str(tmp_path / "d.slm") in str(exc.value)
 
 
+def _write_malformed(path, text):
+    """A copy of a valid L=2 file whose second data line reads ``text``."""
+    lines = path.read_text().splitlines()
+    lines[2] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, bad, text",
+    [
+        ("denoise", "f.slm", "1 abc 0"),
+        ("denoise", "noise.cov", "0 0 abc 0 0 0 0 0"),
+        ("denoise", "noise.cov", "0 0 nan 0 0 0 0 0"),
+        ("snr", "f.slm", "1 nan 0"),
+        ("render", "s.slm", "1 0 abc"),
+    ],
+)
+def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
+    from so3filter.io import write_coeffs, write_covariance
+
+    s = make_test_signal(2, 5)
+    for name in ("s", "f", "h"):
+        write_coeffs(tmp_path / f"{name}.slm", s)
+    write_covariance(tmp_path / "noise.cov", build_signal_covariance(s))
+    _write_malformed(tmp_path / bad, text)
+    t = {name: str(tmp_path / name) for name in ("s.slm", "f.slm", "h.slm", "noise.cov")}
+    args = {
+        "denoise": ["denoise", "--observed", t["f.slm"], "--window", t["h.slm"],
+                    "--source", t["s.slm"], "--noise-cov", t["noise.cov"],
+                    "--out", str(tmp_path / "est.slm")],
+        "snr": ["snr", "--signal", t["s.slm"], "--observed", t["f.slm"]],
+        "render": ["render", "--coeffs", t["s.slm"], "--out", str(tmp_path / "map")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"{tmp_path / bad}: line 3: ")
+    assert not (tmp_path / "est.slm").exists()
+
+
 def test_denoise_requires_covariance_source(tmp_path):
     from so3filter.io import write_coeffs
 

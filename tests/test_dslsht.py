@@ -21,6 +21,9 @@ from so3filter import (
     wigner_D,
 )
 
+from so3filter.coupling import triple_product_rows
+from so3filter.dslsht import forward_component, window_blocks
+
 from helpers import random_coeffs
 
 
@@ -124,6 +127,28 @@ class TestForward:
                         )
                         got = rep.data[u, p, off + q, off + qp]
                         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_cubes_are_tau_times_window(self):
+        # every component is rank one in q': tau(u) (x) hb, with tau the
+        # window-free sum over the triple-product rows
+        lf, lh = 6, 4
+        f = random_coeffs(lf, 15)
+        h = random_coeffs(lh, 16)
+        rep = forward_dslsht(f, h)
+        hb = window_blocks(h)
+        off = lh - 1
+        for u in range(rep.lg**2):
+            tau = forward_component(u, f, lh)
+            assert tau.shape == (lh, 2 * lh - 1)
+            assert np.array_equal(rep.data[u], tau[:, :, None] * hb[:, None, :])
+            for p in range(lh):
+                for q in range(-lh + 1, lh):
+                    if abs(q) > p:
+                        assert tau[p, off + q] == 0.0
+                        continue
+                    nn, tv = triple_product_rows(p, q, u, lf)
+                    want = np.dot(tv, f.data[nn])
+                    assert abs(tau[p, off + q] - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_components_bandlimited_in_u(self):
         # triple products vanish for v >= lf + lh - 1: top-degree components

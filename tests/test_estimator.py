@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3filter import (
     DslshtRep,
@@ -17,7 +19,9 @@ from so3filter import (
     recovery_matrix,
     so3_norm_sq,
 )
+from so3filter.coupling import triple_product_rows
 from so3filter.dslsht import window_blocks
+from so3filter.estimator import accumulate_component
 
 from helpers import random_coeffs, random_psd
 
@@ -132,6 +136,27 @@ class TestRecoveryMatrix:
         rec = RecoveryMatrix(4, np.eye(16, dtype=complex))
         with pytest.raises(ValueError):
             estimate(rec, random_coeffs(3, 20))
+
+
+class TestAccumulate:
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    def test_scatter_matches_row_loop(self, u, seed):
+        # one bincount scatter over every row of u equals adding the rows one
+        # at a time; entries of nh with |q| > p are ignored
+        lf, lh = 6, 4  # lg = 9, so u < 81
+        off = lh - 1
+        rng = np.random.default_rng(seed)
+        nh = rng.standard_normal((lh, 2 * lh - 1)) + 1j * rng.standard_normal((lh, 2 * lh - 1))
+        acc = rng.standard_normal(lf * lf) + 1j * rng.standard_normal(lf * lf)
+        want = acc.copy()
+        for p in range(lh):
+            w = 8.0 * math.pi**2 / (2 * p + 1)
+            for q in range(-p, p + 1):
+                nn, tv = triple_product_rows(p, q, u, lf)
+                want[nn] += w * nh[p, off + q] * tv
+        accumulate_component(acc, u, nh, lf, lh)
+        assert np.abs(acc - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestOptimality:

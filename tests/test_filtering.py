@@ -17,6 +17,7 @@ from so3filter import (
     SphericalCoeffs,
 )
 from so3filter.coupling import triple_product_block
+from so3filter.filtering import _gram_pair
 
 from helpers import random_coeffs, random_psd
 
@@ -42,6 +43,18 @@ class TestCovarianceType:
         mat[0, 1] = 1.0
         with pytest.raises(ValueError):
             SpectralCovariance(2, mat)
+
+    def test_rejects_one_sided_off_diagonal_at_small_scale(self):
+        # the asymmetry bound follows the matrix's own scale
+        mat = 1e-13 * np.eye(4, dtype=complex)
+        mat[0, 1] = 1e-13
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SpectralCovariance(2, mat)
+
+    def test_small_scale_hermitian_and_zero_accepted(self):
+        small = 1e-13 * random_psd(4, 2)
+        assert np.array_equal(SpectralCovariance(2, small).matrix, small)
+        assert np.all(SpectralCovariance(2, np.zeros((4, 4), dtype=complex)).matrix == 0)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -165,6 +178,31 @@ class TestSparseGram:
                     got_b = normal_rhs(p, q, u, cs)
                     assert np.abs(got_b - B[q + p]).max() <= 1e-13 * np.abs(B).max()
         assert zero_columns > 0
+
+
+class TestCoreGram:
+    def test_core_gram_matches_dense_restriction(self):
+        # both stacked Grams at every block equal the dense (X^T C X)^T on
+        # the orders with a nonempty triple-product column
+        lf, lh = 6, 4
+        csum, cs = _cov(lf, 41), _cov(lf, 42)
+        stacked = np.stack([csum.matrix, cs.matrix])
+        partial = 0
+        for u in range((lf + lh - 1) ** 2):
+            for p in range(lh):
+                nn, X = triple_product_block(p, u, lf)
+                keep = X.any(axis=0)
+                G, got_keep = _gram_pair(p, u, stacked, lf)
+                assert np.array_equal(got_keep, keep)
+                if not keep.any():
+                    assert G is None
+                    continue
+                partial += not keep.all()
+                assert G.shape == (2, keep.sum(), keep.sum())
+                for got, cov in zip(G, (csum, cs)):
+                    dense = (X.T @ cov.matrix[np.ix_(nn, nn)] @ X).T[np.ix_(keep, keep)]
+                    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert partial > 0
 
 
 class TestDesign:

@@ -32,6 +32,27 @@ def test_rejects_bad_header_bandlimit(tmp_path, tag, bandlimit):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "bad_line, detail",
+    [("1 abc 0", "could not convert"), ("x 0 0", "invalid literal"), ("1 nan 0", "non-finite")],
+)
+def test_malformed_coefficient_names_file_and_line(tmp_path, bad_line, detail):
+    path = tmp_path / "bad.slm"
+    path.write_text("\n".join(["slm v1 L=2", "0 1 0", "", bad_line, "2 0 0", "3 0 0"]) + "\n")
+    with pytest.raises(ValueError, match=detail) as exc:
+        read_coeffs(path)
+    assert str(exc.value).startswith(f"{path}: line 4: ")
+
+
+@pytest.mark.parametrize("bad, detail", [("abc", "could not convert"), ("inf", "non-finite")])
+def test_malformed_covariance_names_file_and_line(tmp_path, bad, detail):
+    path = tmp_path / "bad.cov"
+    path.write_text(f"cov v1 L=1\n\n1 {bad}\n")
+    with pytest.raises(ValueError, match=detail) as exc:
+        read_covariance(path)
+    assert str(exc.value).startswith(f"{path}: line 3: ")
+
+
 class TestCoeffFiles:
     def test_roundtrip(self, tmp_path):
         coeffs = random_coeffs(5, 1)

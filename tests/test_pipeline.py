@@ -32,7 +32,7 @@ from so3filter import (
 
 from so3filter import coupling
 
-from helpers import random_coeffs
+from helpers import random_coeffs, random_psd
 
 
 class TestSignalCovariance:
@@ -172,6 +172,28 @@ class TestDenoise:
             apply_filter(forward_dslsht(f, h), filt), h
         )
         assert np.abs(streamed.data - modular.data).max() < 1e-12
+
+    def test_streaming_full_rank_cs_matches_materialised_chain(self):
+        # the rank-one stream (tau, zeta tau, window power) against the cube
+        # chain, with full-rank covariances and some blocks on a partial core
+        lf, lh = 6, 4
+        cs = SpectralCovariance(lf, random_psd(lf * lf, 43))
+        cz = SpectralCovariance(lf, 0.5 * random_psd(lf * lf, 44))
+        f = random_coeffs(lf, 45)
+        h = slepian_window(PolarCap(0.9), lh).window()
+        streamed, diag = denoise_with_diagnostics(f, cs, cz, h)
+        filt = design_filter(cs, cz, lh)
+        modular = estimate_from_representation(apply_filter(forward_dslsht(f, h), filt), h)
+        assert np.abs(streamed.data - modular.data).max() <= 1e-12 * np.abs(modular.data).max()
+        assert np.array_equal(diag.rank, filt.diagnostics.rank)
+        partial = [
+            (u, p)
+            for u in range((lf + lh - 1) ** 2)
+            for p in range(lh)
+            if 0 < coupling.triple_product_block(p, u, lf)[1].any(axis=0).sum() < 2 * p + 1
+        ]
+        assert partial
+        assert all(diag.rank[u, p] > 0 for u, p in partial)
 
     def test_improves_snr_at_zero_db(self):
         lf, lh = 8, 4
