@@ -60,14 +60,24 @@ def read_config(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line {raw!r}")
+            raise ValueError(f"{path}: bad config line {raw!r}")
         key, val = line.split("=", 1)
         values[key.strip()] = val.strip()
     return values
 
 
+def _parse(name: str, parse, text):
+    """``parse(text)``; a malformed value for ``name`` exits with one line."""
+    try:
+        return parse(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise SystemExit(f"{name}: {exc}") from None
+
+
 def _cmd_slepian(args) -> int:
-    region = parse_region(args.region)
+    region = _parse("--region", parse_region, args.region)
+    if args.lh < 1:
+        raise SystemExit(f"--lh: window bandlimit must be positive, got {args.lh}")
     result = slepian_window(region, args.lh)
     sfio.write_coeffs(args.out, result.window())
     if args.eigenvalues:
@@ -154,7 +164,7 @@ def _benchmark_config(args) -> ExperimentConfig:
         {"snr_db": "-5,0,5,10", "realizations": "5", "seed": "12345", "out_dir": "."}
     )
     if args.config:
-        values.update(read_config(args.config))
+        values.update(_read(read_config, args.config))
     overrides = {
         "lf": args.lf,
         "lh": args.lh,
@@ -169,17 +179,22 @@ def _benchmark_config(args) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             values[key] = str(val)
-    return ExperimentConfig(
-        lf=int(values["lf"]),
-        lh=int(values["lh"]),
-        region=parse_region(values["region"]),
-        snr_targets_db=tuple(float(v) for v in values["snr_db"].split(",")),
-        realizations=int(values["realizations"]),
-        seed=int(values["seed"]),
-        signal_path=values.get("signal") or None,
-        window_path=values.get("window") or None,
-        output_dir=values.get("out_dir", "."),
-    )
+    try:
+        return ExperimentConfig(
+            lf=_parse("lf", int, values["lf"]),
+            lh=_parse("lh", int, values["lh"]),
+            region=_parse("region", parse_region, values["region"]),
+            snr_targets_db=_parse(
+                "snr_db", lambda text: tuple(float(v) for v in text.split(",")), values["snr_db"]
+            ),
+            realizations=_parse("realizations", int, values["realizations"]),
+            seed=_parse("seed", int, values["seed"]),
+            signal_path=values.get("signal") or None,
+            window_path=values.get("window") or None,
+            output_dir=values.get("out_dir", "."),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"benchmark: {exc}") from None
 
 
 def _cmd_benchmark(args) -> int:

@@ -71,8 +71,8 @@ class NoiseModel:
             raise ValueError("mixing matrix must be square")
         if math.isqrt(mat.shape[0]) ** 2 != mat.shape[0]:
             raise ValueError("mixing matrix size must be a squared bandlimit")
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative")
+        if not (math.isfinite(self.scale) and self.scale >= 0.0):
+            raise ValueError(f"scale must be finite and nonnegative, got {self.scale}")
         object.__setattr__(self, "mixing", mat)
 
     @property
@@ -120,6 +120,8 @@ def calibrate_snr(
     Returns ``(alpha * z, alpha)``; covariances fed to the filter must be
     scaled by ``alpha**2`` to stay consistent.
     """
+    if not math.isfinite(target_db):
+        raise ValueError(f"SNR target must be finite, got {target_db}")
     if z.norm() == 0.0:
         raise ValueError("noise draw must be nonzero")
     if s.bandlimit != z.bandlimit:
@@ -199,6 +201,8 @@ class ExperimentConfig:
             raise ValueError("need at least one realization")
         if len(self.snr_targets_db) == 0:
             raise ValueError("SNR target list must be nonempty")
+        if not all(math.isfinite(t) for t in self.snr_targets_db):
+            raise ValueError(f"SNR targets must be finite, got {self.snr_targets_db}")
         if self.lf < 1 or self.lh < 1:
             raise ValueError("bandlimits must be positive")
 

@@ -2,10 +2,22 @@
 
 The window is the leading eigenvector of the concentration kernel
 ``K[n, n'] = integral_R Y_n conj(Y_n') ds`` restricted to a region ``R``.
-Both supported regions are star-shaped about the north pole, so the kernel
-quadrature integrates radially (Gauss-Legendre in colatitude out to the
-region boundary) on a uniform longitude grid; the longitude integrand is a
-smooth periodic function of ``phi`` and converges spectrally.
+
+A polar cap ``theta <= theta0`` is axisymmetric, so its kernel is block
+diagonal in the order ``m`` and the blocks at ``+m`` and ``-m`` coincide.
+With ``x = cos(theta)`` each block is the real Gram
+``2 pi sum_i w_i P_l^m(x_i) P_l'^m(x_i)`` of the normalised Legendre
+functions, and its integrand is a polynomial of degree ``l + l' <= 2L - 2``
+in ``x``.  Gauss-Legendre on ``[cos(theta0), 1]`` with ``n >= L`` nodes
+therefore integrates it exactly; the cap kernel uses ``n = L``.  The
+interval half-width is taken as ``sin^2(theta0 / 2)`` so that tiny caps
+keep positive weights.
+
+A spherical ellipse has no such structure.  It is star-shaped about the
+north pole, so its kernel quadrature integrates radially (Gauss-Legendre in
+colatitude out to the region boundary) on a uniform longitude grid; the
+longitude integrand is a smooth periodic function of ``phi`` and converges
+spectrally.
 """
 
 from __future__ import annotations
@@ -112,20 +124,27 @@ def _region_nodes(region: Region, n_phi: int, n_radial: int):
     return thetas, phis, weights
 
 
-def concentration_kernel(
-    region: Region,
-    bandlimit: int,
-    n_phi: int | None = None,
-    n_radial: int | None = None,
-) -> np.ndarray:
-    """Hermitian concentration kernel of the region at the given bandlimit."""
-    if bandlimit < 1:
-        raise ValueError("bandlimit must be positive")
-    L = bandlimit
-    if n_phi is None:
-        n_phi = max(16 * L, 128)
-    if n_radial is None:
-        n_radial = max(2 * L + 16, 48)
+def _cap_kernel(theta0: float, L: int) -> np.ndarray:
+    """Exact per-order kernel of the cap ``theta <= theta0``."""
+    gx, gw = np.polynomial.legendre.leggauss(L)
+    half = math.sin(0.5 * theta0) ** 2                  # (1 - cos(theta0)) / 2
+    if half == 0.0:
+        raise ValueError("region is degenerate under the quadrature grid")
+    tbl = _legendre_table(L, 1.0 - half * (1.0 - gx))
+    root_w = np.sqrt(2.0 * math.pi * half * gw)
+    K = np.zeros((L * L, L * L), dtype=np.complex128)
+    ls = np.arange(L)
+    for m in range(L):
+        lr = ls[m:]
+        scaled = tbl[m:, m] * root_w
+        block = scaled @ scaled.T
+        for n in (lr * (lr + 1) + m, lr * (lr + 1) - m):
+            K[n[:, None], n[None, :]] = block
+    return K
+
+
+def _quadrature_kernel(region: Region, L: int, n_phi: int, n_radial: int) -> np.ndarray:
+    """Kernel of any star-shaped region by the longitude-radial node rule."""
     thetas, phis, weights = _region_nodes(region, n_phi, n_radial)
     if not np.any(weights > 0.0):
         raise ValueError("region is degenerate under the quadrature grid")
@@ -150,6 +169,32 @@ def concentration_kernel(
                 Y[:, lr * (lr + 1) - m] = sign * tbl[m:, m].T * np.conj(ep)[:, None]
         K += (wt[:, None] * Y).T @ np.conj(Y)
     return 0.5 * (K + K.conj().T)
+
+
+def concentration_kernel(
+    region: Region,
+    bandlimit: int,
+    n_phi: int | None = None,
+    n_radial: int | None = None,
+) -> np.ndarray:
+    """Hermitian concentration kernel of the region at the given bandlimit.
+
+    A ``PolarCap`` kernel is built one order at a time from ``bandlimit``
+    Gauss-Legendre nodes in ``cos(theta)``; a rule with ``n >= bandlimit``
+    nodes is exact for it, so ``n_phi`` and ``n_radial`` are not used.  Any
+    other region uses ``n_phi`` longitudes times ``n_radial`` colatitude
+    nodes, and its accuracy depends on both.
+    """
+    if bandlimit < 1:
+        raise ValueError("bandlimit must be positive")
+    L = bandlimit
+    if isinstance(region, PolarCap):
+        return _cap_kernel(region.theta0, L)
+    if n_phi is None:
+        n_phi = max(16 * L, 128)
+    if n_radial is None:
+        n_radial = max(2 * L + 16, 48)
+    return _quadrature_kernel(region, L, n_phi, n_radial)
 
 
 @dataclass(frozen=True)

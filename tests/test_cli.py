@@ -200,6 +200,35 @@ def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
     assert not (tmp_path / "est.slm").exists()
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["slepian", "--region", "cap:abc", "--lh", "4"], ["--region", "cap:abc"]),
+        (["slepian", "--region", "cap:15", "--lh", "0"], ["--lh", "0"]),
+        (["benchmark", "--region", "cap:abc"], ["region", "cap:abc"]),
+        (["benchmark", "--config", "{cfg}"], ["region", "cap:abc"]),
+        (["benchmark", "--snr-db", "0,x"], ["snr_db", "'x'"]),
+        (["benchmark", "--realizations", "0"], ["realization"]),
+        (["benchmark", "--lf", "0"], ["bandlimit"]),
+    ],
+    ids=["slepian-region", "slepian-lh", "benchmark-region", "config-region",
+         "benchmark-snr-db", "benchmark-realizations", "benchmark-lf"],
+)
+def test_bad_argument_exits_with_one_line(tmp_path, args, names):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lf=4\nlh=2\nregion=cap:abc\n")
+    out = tmp_path / "out"
+    args = [a.format(cfg=cfg) for a in args]
+    args += ["--out", str(out)] if args[0] == "slepian" else ["--out-dir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    for name in names:
+        assert name in message
+    assert not out.exists()
+
+
 def test_denoise_requires_covariance_source(tmp_path):
     from so3filter.io import write_coeffs
 

@@ -93,6 +93,11 @@ class TestNoise:
         assert np.abs(emp - np.eye(lf * lf)).max() < 5e-2
         assert np.abs(draws.mean(axis=0)).max() < 5e-2
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            NoiseModel.random(2, 5, scale=scale)
+
     def test_covariance_matches_model(self):
         model = NoiseModel.random(3, 11, scale=0.5)
         cov = model.covariance()
@@ -139,6 +144,11 @@ class TestSnr:
     def test_zero_noise_rejected(self):
         with pytest.raises(ValueError):
             calibrate_snr(random_coeffs(2, 9), SphericalCoeffs.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="SNR target"):
+            calibrate_snr(random_coeffs(2, 9), random_coeffs(2, 10), target)
 
 
 class TestDenoise:
@@ -298,6 +308,11 @@ class TestBenchmark:
             self._config(realizations=0)
         with pytest.raises(ValueError):
             self._config(snr_targets_db=())
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="SNR targets"):
+            self._config(snr_targets_db=(0.0, target))
 
 
 class TestTestSignal:

@@ -91,6 +91,21 @@ class TestKernel:
                 if ma != mb:
                     assert abs(K[a, b]) < 1e-10
 
+    @pytest.mark.parametrize(
+        "theta0",
+        [1e-12, 5 * DEG, 15 * DEG, 45 * DEG, 90 * DEG, 135 * DEG, math.pi],
+        ids=["1e-12rad", "5deg", "15deg", "45deg", "90deg", "135deg", "180deg"],
+    )
+    def test_cap_kernel_matches_generic_quadrature(self, theta0):
+        # the exact per-order rule against the longitude-radial node rule
+        from so3filter.slepian import _quadrature_kernel
+
+        cap = PolarCap(theta0)
+        for L in (2, 3, 7, 12, 16):
+            ref = _quadrature_kernel(cap, L, max(16 * L, 128), max(2 * L + 16, 48))
+            K = concentration_kernel(cap, L)
+            assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_degenerate_region_rejected(self):
         cap = PolarCap(1e-12)
         # force an all-zero quadrature by collapsing the radial rule
@@ -126,10 +141,14 @@ class TestWindow:
         target = 64 * cap.area() / (4 * math.pi)
         assert abs(res.eigenvalues.sum() - target) < 1e-6 * target
 
-    def test_leading_eigenvalue_stable_across_resolutions(self):
-        cap = PolarCap(15 * DEG)
-        coarse = slepian_window(cap, 20)
-        fine = slepian_window(cap, 20, n_phi=640, n_radial=112)
+    @pytest.mark.parametrize(
+        "region",
+        [PolarCap(15 * DEG), SphericalEllipse(15 * DEG, 16 * DEG)],
+        ids=["cap", "ellipse"],
+    )
+    def test_leading_eigenvalue_stable_across_resolutions(self, region):
+        coarse = slepian_window(region, 12)
+        fine = slepian_window(region, 12, n_phi=640, n_radial=112)
         assert abs(coarse.eigenvalues[0] - fine.eigenvalues[0]) < 1e-6
 
     def test_leading_eigenvalue_grows_with_cap(self):
