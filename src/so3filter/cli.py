@@ -90,7 +90,10 @@ def _cmd_slepian(args) -> int:
 
 
 def _cmd_synth_noise(args) -> int:
-    model = NoiseModel.random(args.lf, args.mixing_seed, args.scale)
+    try:
+        model = NoiseModel.random(args.lf, args.mixing_seed, args.scale)
+    except ValueError as exc:
+        raise SystemExit(f"synth-noise: {exc}") from None
     z = synth_noise(model, args.seed)
     sfio.write_coeffs(args.out, z)
     if args.cov_out:
@@ -213,7 +216,10 @@ def _cmd_benchmark(args) -> int:
         h = _read(sfio.read_coeffs, cfg.window_path)
     else:
         h = slepian_window(cfg.region, cfg.lh).window()
-    result = benchmark(cfg, s, h)
+    try:
+        result = benchmark(cfg, s, h)
+    except ValueError as exc:
+        raise SystemExit(f"benchmark: {exc}") from None
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / "results.csv"

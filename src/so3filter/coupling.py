@@ -8,8 +8,8 @@ recursion across the classical middle, and a final normalisation by
 ``sign f(jmax) = (-1)^(j1-j2-m3)``.  One kernel runs this scheme for many
 families of one degree pair ``(j1, j2)`` at once, vectorised over the
 families.  The triple-product rows of each degree pair are built from one
-kernel call and memoised, and so is the packed set of rows of each
-``(p, u)`` block, sliced from its degree pair's record.
+kernel call and memoised as one record; every stage reads a row as a slice
+of its degree pair's record.
 
 The triple product ``T(n; p, q; u) = integral Y_n Y_p^q conj(Y_u)`` reduces to
 two 3j factors; with ``n -> (l, m)`` and ``u -> (v, w)``,
@@ -160,7 +160,7 @@ def _families(j1: int, j2: int, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndar
     return jmin, f * (sign_top * np.copysign(1.0, last) / np.sqrt(total))[:, None]
 
 
-# Memoises the scalar API below; the row plans call the kernel directly.
+# Memoises the scalar API below; the degree-pair records call the kernel directly.
 @functools.lru_cache(maxsize=1 << 12)
 def _single_family(j1: int, j2: int, m1: int, m2: int) -> tuple[int, np.ndarray]:
     """One family through the kernel, as a batch of one."""
@@ -240,9 +240,10 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
 
 # Bound of the degree-pair record cache.  A denoise walks ``u`` in order and
 # reads every ``p`` at each ``u``, so it needs only the ``lh`` records of the
-# current ``v`` (20 at full scale) and builds each record once.
-@functools.lru_cache(maxsize=32)
-def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# current ``v`` and builds each record once.  The desk preset's 184 records
+# fit whole, so every denoise of a desk sweep after the first reuses them.
+@functools.lru_cache(maxsize=192)
+def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Every triple-product row ``T(.; p, k; v(v+1) + w)`` of one degree pair.
 
     Returns read-only ``(nn, values, offsets)`` over the rows ``(w, k)``,
@@ -276,32 +277,10 @@ def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, np.nd
     nn = np.concatenate((nn, (nn - 2 * m[:, None])[neg][::-1]))
     sizes = np.concatenate((sizes, sizes[neg][::-1]))
     packed = np.arange(grid.shape[1]) < sizes[:, None]
-    record = nn[packed], grid[packed], np.concatenate(([0], np.cumsum(sizes)))
+    record = nn[packed], grid[packed]
     for arr in record:
         arr.setflags(write=False)
-    return record
-
-
-# Bound of the row-plan cache, in blocks: the desk preset (4,232 blocks) fits
-# whole, so every denoise of a desk sweep after the first reuses its plans.
-# Larger runs only share each plan between the three stages of one ``u``.
-# One packed record per block, not one cache entry per row: per-row entries
-# would hold the desk plan in 17.6 MB instead of 4.8 MB.
-@functools.lru_cache(maxsize=1 << 13)
-def _row_plan(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Every row ``T(.; p, k; u)``, ``-p <= k <= p``, packed into one record.
-
-    Returns read-only ``(nn, values, offsets)``: row ``k`` is
-    ``nn[offsets[k + p] : offsets[k + p + 1]]`` with its values at the same
-    positions.  Forward transform, filter design and recovery all read their
-    rows from here; they are views into the record of the degree pair
-    ``(p, v)``.
-    """
-    v, w = degree_and_order(u)
-    nn, values, offsets = _pair_record(p, v, lf)
-    first = (v + w) * (2 * p + 1)
-    rows = offsets[first : first + 2 * p + 2]
-    return nn[rows[0] : rows[-1]], values[rows[0] : rows[-1]], tuple((rows - rows[0]).tolist())
+    return (*record, (0, *np.cumsum(sizes).tolist()))
 
 
 def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,22 +288,26 @@ def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np
 
     Returns read-only ``(n_indices, values)`` with
     ``values[i] = T(n_indices[i]; p, q; u)``, covering exactly the candidates
-    from :func:`nonzero_n_range`.
+    from :func:`nonzero_n_range`.  Forward transform, filter design and
+    recovery all read their rows from here, as views into the record of the
+    degree pair ``(p, v)``.
     """
     if p < 0 or abs(q) > p or u < 0 or lf < 1:
         raise ValueError("invalid triple-product indices")
-    nn, values, offsets = _row_plan(p, u, lf)
-    row = slice(offsets[q + p], offsets[q + p + 1])
+    v = math.isqrt(u)
+    nn, values, offsets = _pair_record(p, v, lf)
+    r = (u - v * v) * (2 * p + 1) + q + p
+    row = slice(offsets[r], offsets[r + 1])
     return nn[row], values[row]
 
 
 def cache_info():
-    """``(row plans, degree-pair records, 3j families evaluated)``.
+    """``(degree-pair records, 3j families evaluated)``.
 
-    The first two are ``functools`` cache statistics; the last counts every
-    family the kernel has evaluated in this process.
+    The first is the ``functools`` cache statistics of the records; the
+    second counts every family the kernel has evaluated in this process.
     """
-    return _row_plan.cache_info(), _pair_record.cache_info(), _families_evaluated
+    return _pair_record.cache_info(), _families_evaluated
 
 
 def triple_product_block(p: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:

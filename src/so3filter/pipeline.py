@@ -82,6 +82,8 @@ class NoiseModel:
     @classmethod
     def random(cls, lf: int, seed: int, scale: float = 1.0) -> "NoiseModel":
         """Mixing matrix with real and imaginary parts i.i.d. uniform(-1, 1)."""
+        if lf < 1:
+            raise ValueError(f"bandlimit must be positive, got {lf}")
         rng = np.random.default_rng(seed)
         n = lf * lf
         mat = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
@@ -126,7 +128,12 @@ def calibrate_snr(
         raise ValueError("noise draw must be nonzero")
     if s.bandlimit != z.bandlimit:
         raise ValueError("bandlimit mismatch")
-    alpha = (s.norm() / z.norm()) * 10.0 ** (-target_db / 20.0)
+    try:
+        alpha = (s.norm() / z.norm()) * 10.0 ** (-target_db / 20.0)
+    except OverflowError:
+        alpha = math.inf
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"SNR target {target_db} dB puts the noise scale out of range")
     return SphericalCoeffs(z.bandlimit, alpha * z.data), alpha
 
 
@@ -153,14 +160,12 @@ def denoise_with_diagnostics(
 
     est = estimate_from_components(map(filtered, range(lg * lg)), h, lf)
     if logger.isEnabledFor(logging.INFO):
-        plan, record, families = coupling.cache_info()
+        record, families = coupling.cache_info()
         logger.info(
-            "blocks %d empty %d truncated %d solved; coupling caches: "
-            "row plans %d hits %d misses %d/%d held, "
+            "blocks %d empty %d truncated %d solved; coupling cache: "
             "degree-pair records %d hits %d misses %d/%d held, "
             "%d 3j families evaluated",
             *diag.block_counts,
-            plan.hits, plan.misses, plan.currsize, plan.maxsize,
             record.hits, record.misses, record.currsize, record.maxsize,
             families,
         )

@@ -231,9 +231,10 @@ def slepian_window(
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, k])))
-        pivot = vecs[i, k]
-        if pivot != 0:
-            vecs[:, k] *= np.conj(pivot) / abs(pivot)
+    # eigh returns unit-norm columns, so no pivot is zero.  hypot is the
+    # scalar complex abs; numpy's vectorised abs may differ in the last bit,
+    # which can swap the pivot between coefficients of equal magnitude.
+    mag = np.hypot(vecs.real, vecs.imag)
+    pivot = vecs[np.argmax(mag, axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.conj(pivot) / mag.max(axis=0)
     return SlepianResult(bandlimit, evals, vecs)

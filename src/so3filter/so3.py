@@ -76,14 +76,6 @@ def wigner_d_stack(lmax: int, beta: float) -> list[np.ndarray]:
     s = math.sin(0.5 * beta)
     if s == 0.0:
         return [np.eye(2 * l + 1) for l in range(lmax + 1)]
-    if c == 0.0:
-        out = []
-        for l in range(lmax + 1):
-            m = np.zeros((2 * l + 1, 2 * l + 1))
-            idx = np.arange(2 * l + 1)
-            m[idx, 2 * l - idx] = np.where(idx % 2 == 0, 1.0, -1.0)
-            out.append(m)
-        return out
 
     x = math.cos(beta)
     sb = math.sin(beta)

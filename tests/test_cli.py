@@ -210,16 +210,26 @@ def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
         (["benchmark", "--snr-db", "0,x"], ["snr_db", "'x'"]),
         (["benchmark", "--realizations", "0"], ["realization"]),
         (["benchmark", "--lf", "0"], ["bandlimit"]),
+        (["benchmark", "--snr-db", "7000"], ["SNR target", "7000"]),
+        (["synth-noise", "--lf", "-3"], ["bandlimit", "-3"]),
+        (["synth-noise", "--lf", "0"], ["bandlimit", "0"]),
+        (["synth-noise", "--lf", "2", "--scale", "nan"], ["scale", "nan"]),
+        (["synth-noise", "--lf", "2", "--scale", "-1"], ["scale", "-1"]),
     ],
     ids=["slepian-region", "slepian-lh", "benchmark-region", "config-region",
-         "benchmark-snr-db", "benchmark-realizations", "benchmark-lf"],
+         "benchmark-snr-db", "benchmark-realizations", "benchmark-lf",
+         "benchmark-snr-db-range", "synth-noise-lf-negative", "synth-noise-lf-zero",
+         "synth-noise-scale-nan", "synth-noise-scale-negative"],
 )
 def test_bad_argument_exits_with_one_line(tmp_path, args, names):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("lf=4\nlh=2\nregion=cap:abc\n")
     out = tmp_path / "out"
     args = [a.format(cfg=cfg) for a in args]
-    args += ["--out", str(out)] if args[0] == "slepian" else ["--out-dir", str(out)]
+    if args[0] == "synth-noise":
+        args += ["--seed", "1", "--out", str(out)]
+    else:
+        args += ["--out", str(out)] if args[0] == "slepian" else ["--out-dir", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(args)
     message = exc.value.code

@@ -271,24 +271,21 @@ class TestRowPlan:
         def rows():
             return [(nn.copy(), tv.copy()) for *_, nn, tv in _all_rows(5, 3)]
 
-        coupling._row_plan.cache_clear()
         coupling._pair_record.cache_clear()
         cold = rows()
         warm = rows()
-        assert coupling._row_plan.cache_info().hits > 0
-        coupling._row_plan.cache_clear()  # rebuilt from cached degree-pair records
-        rebuilt = rows()
         assert coupling._pair_record.cache_info().hits > 0
+        coupling._pair_record.cache_clear()
+        rebuilt = rows()
         for (nn_c, tv_c), (nn_w, tv_w), (nn_r, tv_r) in zip(cold, warm, rebuilt):
             assert np.array_equal(nn_c, nn_w) and np.array_equal(nn_c, nn_r)
             assert np.array_equal(tv_c, tv_w) and np.array_equal(tv_c, tv_r)
 
     def test_every_row_matches_scalar(self):
-        # Rows of blocks with w > 0 are reflected copies.  The second size
-        # reaches |w| = 8 and walks u downwards from cold caches, so each
-        # reflected block is read before its mirror.
+        # Rows with w > 0 are reflected copies.  The second size reaches
+        # |w| = 8 and walks u downwards from a cold cache, so each reflected
+        # row is read before its mirror.
         for lf, lh, order in ((4, 3, 1), (6, 4, -1)):
-            coupling._row_plan.cache_clear()
             coupling._pair_record.cache_clear()
             for u in range((lf + lh - 1) ** 2)[::order]:
                 for p in range(lh):
@@ -299,7 +296,7 @@ class TestRowPlan:
                             assert t == pytest.approx(triple_product(int(n), p, q, u), abs=1e-14)
 
     def test_cold_build_skips_reflected_families(self):
-        # rows with w > 0 are reflections, so a cold build of every plan
+        # rows with w > 0 are reflections, so a cold build of every record
         # evaluates little over half the 3j families the rows need
         lf, lh = 8, 4
         lg = lf + lh - 1
@@ -310,13 +307,10 @@ class TestRowPlan:
                 for k in range(-p, p + 1):
                     if nonzero_n_range(p, k, u, lf):
                         needed |= {(p, v, 0, 0), (p, v, k, -w)}
-        coupling._row_plan.cache_clear()
         coupling._pair_record.cache_clear()
-        *_, before = coupling.cache_info()
-        for u in range(lg * lg):
-            for p in range(lh):
-                coupling._row_plan(p, u, lf)
-        _, records, after = coupling.cache_info()
+        _, before = coupling.cache_info()
+        list(_all_rows(lf, lh))
+        records, after = coupling.cache_info()
         assert records.misses == lg * lh  # no record was evicted and rebuilt
         assert after - before <= 0.6 * len(needed)
 
@@ -335,34 +329,30 @@ class TestRowPlan:
                 assert pos == n_union.size
 
     def test_one_denoise_reuses_each_plan(self):
-        # forward, design and recovery read every block: >= 2 hits per miss
+        # forward, design and recovery read every row of each record
         f = random_coeffs(4, 1)
         h = random_coeffs(3, 2)
-        coupling._row_plan.cache_clear()
+        coupling._pair_record.cache_clear()
         denoise(f, build_signal_covariance(random_coeffs(4, 3)), SpectralCovariance.zeros(4), h)
-        info = coupling._row_plan.cache_info()
-        assert info.misses == 6 * 6 * 3  # every (u, p) block once
-        assert info.hits >= 2 * info.misses
+        info = coupling._pair_record.cache_info()
+        assert info.misses == 6 * 3  # every (p, v) record once
+        assert info.hits >= 2 * 6 * 6 * 9  # >= two reads of every (p, q, u) row
 
     def test_desk_plan_fits_the_cache(self):
-        # a desk sweep reuses its plans only if every block stays cached
+        # a desk sweep reuses its rows only if every record stays cached
         lf, lh = DESK_PRESET["lf"], DESK_PRESET["lh"]
-        assert (lf + lh - 1) ** 2 * lh <= coupling._row_plan.cache_info().maxsize
+        assert (lf + lh - 1) * lh <= coupling._pair_record.cache_info().maxsize
 
     def test_full_scale_records_stay_cached(self):
         # a denoise reads the lh records (p, v) of one v at a time, so a
         # cache of at least lh records builds each of them exactly once
         assert FULL_PRESET["lh"] <= coupling._pair_record.cache_info().maxsize
-        lf, lh = 6, 4  # 36 records, more than the cache holds
+        lf, lh = 22, 8  # 232 records, more than the cache holds
         assert (lf + lh - 1) * lh > coupling._pair_record.cache_info().maxsize
-        coupling._row_plan.cache_clear()
         coupling._pair_record.cache_clear()
-        denoise(
-            random_coeffs(lf, 1),
-            build_signal_covariance(random_coeffs(lf, 3)),
-            SpectralCovariance.zeros(lf),
-            random_coeffs(lh, 2),
-        )
+        for u in range((lf + lh - 1) ** 2):
+            for p in range(lh):
+                triple_product_rows(p, 0, u, lf)
         assert coupling._pair_record.cache_info().misses == (lf + lh - 1) * lh
 
 

@@ -14,6 +14,7 @@ from so3filter import (
     so3_synthesize,
     wigner_D,
     wigner_d_matrix,
+    wigner_d_stack,
 )
 
 from helpers import so3_quadrature, so3_quadrature_analyze, so3_quadrature_inner, wigner_d_sum
@@ -81,11 +82,12 @@ class TestWignerD:
                 assert d[m + 6, mp + 6] == pytest.approx(sign * d[mp + 6, m + 6])
 
     def test_beta_pi(self):
-        d = wigner_d_matrix(3, math.pi)
-        expected = np.zeros((7, 7))
-        for m in range(-3, 4):
-            expected[m + 3, -m + 3] = (-1.0) ** (3 + m)
-        assert np.abs(d - expected).max() < 1e-12
+        # d^l_{m,m'}(pi) = (-1)^(l+m) on the anti-diagonal m' = -m
+        for ell, d in enumerate(wigner_d_stack(80, math.pi)):
+            m = np.arange(-ell, ell + 1)
+            expected = np.zeros((2 * ell + 1, 2 * ell + 1))
+            expected[m + ell, -m + ell] = np.where((ell + m) % 2, -1.0, 1.0)
+            assert np.abs(d - expected).max() < 1e-12
 
     def test_d000_is_one(self):
         rho = Rotation(2.0, 1.0, 0.5)
