@@ -15,7 +15,7 @@ from .coupling import (
     wigner3j,
     wigner3j_family,
 )
-from .dslsht import DslshtRep, dslsht_direct, forward_dslsht, psi_coeffs
+from .dslsht import DslshtRep, forward_dslsht
 from .estimator import (
     RecoveryMatrix,
     estimate,
@@ -52,16 +52,6 @@ from .slepian import (
     concentration_kernel,
     slepian_window,
 )
-from .so3 import (
-    Rotation,
-    WignerCoeffs,
-    so3_inner,
-    so3_norm_sq,
-    so3_synthesize,
-    wigner_D,
-    wigner_d_matrix,
-    wigner_d_stack,
-)
 from .sphere import (
     SphereGrid,
     SphericalCoeffs,
@@ -70,7 +60,6 @@ from .sphere import (
     flat_index,
     forward_sht,
     inverse_sht,
-    rotate_coeffs,
     synthesize,
 )
 
@@ -85,13 +74,11 @@ __all__ = [
     "NoiseModel",
     "PolarCap",
     "RecoveryMatrix",
-    "Rotation",
     "SlepianResult",
     "SpectralCovariance",
     "SphereGrid",
     "SphericalCoeffs",
     "SphericalEllipse",
-    "WignerCoeffs",
     "apply_filter",
     "benchmark",
     "build_signal_covariance",
@@ -101,7 +88,6 @@ __all__ = [
     "denoise",
     "denoise_with_diagnostics",
     "design_filter",
-    "dslsht_direct",
     "estimate",
     "estimate_from_representation",
     "eval_ylm",
@@ -113,22 +99,14 @@ __all__ = [
     "nonzero_n_range",
     "normal_matrix",
     "normal_rhs",
-    "psi_coeffs",
     "recovery_matrix",
     "render_map",
-    "rotate_coeffs",
     "slepian_window",
     "snr",
-    "so3_inner",
-    "so3_norm_sq",
-    "so3_synthesize",
     "synth_noise",
     "synthesize",
     "triple_product",
     "triple_product_rows",
     "wigner3j",
     "wigner3j_family",
-    "wigner_D",
-    "wigner_d_matrix",
-    "wigner_d_stack",
 ]

@@ -90,23 +90,15 @@ def _cmd_slepian(args) -> int:
 
 
 def _cmd_synth_noise(args) -> int:
-    try:
-        model = NoiseModel.random(args.lf, args.mixing_seed, args.scale)
-    except ValueError as exc:
-        raise SystemExit(f"synth-noise: {exc}") from None
+    for flag, seed in (("--seed", args.seed), ("--mixing-seed", args.mixing_seed)):
+        if seed < 0:
+            raise SystemExit(f"{flag}: seed must be nonnegative, got {seed}")
+    model = NoiseModel.random(args.lf, args.mixing_seed, args.scale)
     z = synth_noise(model, args.seed)
     sfio.write_coeffs(args.out, z)
     if args.cov_out:
         sfio.write_covariance(args.cov_out, model.covariance())
     return 0
-
-
-def _read(reader, path):
-    """``reader(path)``; a malformed file exits with the reader's one-line message."""
-    try:
-        return reader(path)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _check_bandlimit(flag: str, path, data, observed_path, observed) -> None:
@@ -120,28 +112,28 @@ def _check_bandlimit(flag: str, path, data, observed_path, observed) -> None:
 
 
 def _cmd_snr(args) -> int:
-    s = _read(sfio.read_coeffs, args.signal)
-    d = _read(sfio.read_coeffs, args.observed)
+    s = sfio.read_coeffs(args.signal)
+    d = sfio.read_coeffs(args.observed)
     _check_bandlimit("--signal", args.signal, s, args.observed, d)
     print(f"{snr(d, s):.6f}")
     return 0
 
 
 def _cmd_denoise(args) -> int:
-    f = _read(sfio.read_coeffs, args.observed)
-    h = _read(sfio.read_coeffs, args.window)
-    s = _read(sfio.read_coeffs, args.source) if args.source else None
+    f = sfio.read_coeffs(args.observed)
+    h = sfio.read_coeffs(args.window)
+    s = sfio.read_coeffs(args.source) if args.source else None
     if s is not None:
         _check_bandlimit("--source", args.source, s, args.observed, f)
     if args.signal_cov:
-        cs = _read(sfio.read_covariance, args.signal_cov)
+        cs = sfio.read_covariance(args.signal_cov)
         _check_bandlimit("--signal-cov", args.signal_cov, cs, args.observed, f)
     elif s is not None:
         cs = build_signal_covariance(s)
     else:
         raise SystemExit("denoise needs --signal-cov or --source")
     if args.noise_cov:
-        cz = _read(sfio.read_covariance, args.noise_cov)
+        cz = sfio.read_covariance(args.noise_cov)
         _check_bandlimit("--noise-cov", args.noise_cov, cz, args.observed, f)
     else:
         cz = SpectralCovariance.zeros(f.bandlimit)
@@ -153,7 +145,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    coeffs = _read(sfio.read_coeffs, args.coeffs)
+    coeffs = sfio.read_coeffs(args.coeffs)
     paths = render_map(coeffs, args.rows, args.cols, args.out)
     for kind, path in paths.items():
         logger.info("%s raster: %s", kind, path)
@@ -167,7 +159,7 @@ def _benchmark_config(args) -> ExperimentConfig:
         {"snr_db": "-5,0,5,10", "realizations": "5", "seed": "12345", "out_dir": "."}
     )
     if args.config:
-        values.update(_read(read_config, args.config))
+        values.update(read_config(args.config))
     overrides = {
         "lf": args.lf,
         "lh": args.lh,
@@ -182,22 +174,19 @@ def _benchmark_config(args) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             values[key] = str(val)
-    try:
-        return ExperimentConfig(
-            lf=_parse("lf", int, values["lf"]),
-            lh=_parse("lh", int, values["lh"]),
-            region=_parse("region", parse_region, values["region"]),
-            snr_targets_db=_parse(
-                "snr_db", lambda text: tuple(float(v) for v in text.split(",")), values["snr_db"]
-            ),
-            realizations=_parse("realizations", int, values["realizations"]),
-            seed=_parse("seed", int, values["seed"]),
-            signal_path=values.get("signal") or None,
-            window_path=values.get("window") or None,
-            output_dir=values.get("out_dir", "."),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"benchmark: {exc}") from None
+    return ExperimentConfig(
+        lf=_parse("lf", int, values["lf"]),
+        lh=_parse("lh", int, values["lh"]),
+        region=_parse("region", parse_region, values["region"]),
+        snr_targets_db=_parse(
+            "snr_db", lambda text: tuple(float(v) for v in text.split(",")), values["snr_db"]
+        ),
+        realizations=_parse("realizations", int, values["realizations"]),
+        seed=_parse("seed", int, values["seed"]),
+        signal_path=values.get("signal") or None,
+        window_path=values.get("window") or None,
+        output_dir=values.get("out_dir", "."),
+    )
 
 
 def _cmd_benchmark(args) -> int:
@@ -209,17 +198,14 @@ def _cmd_benchmark(args) -> int:
             cfg.lf, cfg.lh,
         )
     if cfg.signal_path:
-        s = _read(sfio.read_coeffs, cfg.signal_path)
+        s = sfio.read_coeffs(cfg.signal_path)
     else:
         s = make_test_signal(cfg.lf, cfg.seed)
     if cfg.window_path:
-        h = _read(sfio.read_coeffs, cfg.window_path)
+        h = sfio.read_coeffs(cfg.window_path)
     else:
         h = slepian_window(cfg.region, cfg.lh).window()
-    try:
-        result = benchmark(cfg, s, h)
-    except ValueError as exc:
-        raise SystemExit(f"benchmark: {exc}") from None
+    result = benchmark(cfg, s, h)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / "results.csv"
@@ -299,7 +285,12 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # Rejected input and unreadable or unwritable files end in one line;
+        # file errors already name their path.
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ Expanding in rotation-group harmonics gives pure coefficient arithmetic,
 
 with triple products restricted by their selection rules.  Each component is
 bandlimited to ``lh`` in the rotation variable and to ``lg = lf + lh - 1`` in
-the harmonic index ``u``.
+the harmonic index ``u``.  This module evaluates only that coefficient form;
+it never rotates a window or evaluates a Wigner-D function.
 
 Each component is rank one in the window order ``q'``:
 ``(g_f(.; u))^p_{q, q'} = tau_{p, q}(u) (h)_p^{q'}`` with
@@ -28,15 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import triple_product, triple_product_rows
-from .so3 import Rotation, WignerCoeffs
-from .sphere import (
-    SphereGrid,
-    SphericalCoeffs,
-    degree_and_order,
-    inverse_sht,
-    rotate_coeffs,
-)
+from .coupling import triple_product_rows
+from .sphere import SphericalCoeffs
 
 
 def window_blocks(h: SphericalCoeffs) -> np.ndarray:
@@ -74,33 +68,6 @@ class DslshtRep:
     @property
     def lg(self) -> int:
         return self.lf + self.lh - 1
-
-    def component(self, u: int) -> WignerCoeffs:
-        """The rotation-group spectrum of component ``u``."""
-        return WignerCoeffs(self.lh, self.data[u])
-
-
-def psi_coeffs(u: int, n: int, h: SphericalCoeffs) -> WignerCoeffs:
-    """Rotation-group spectrum of the analysis function ``psi_{u,n}``.
-
-    The coefficient at ``(p, q, q')`` is ``(h)_p^{q'} T(n; p, q; u)``; only
-    the single order ``q = w - m`` allowed by the selection rule survives.
-    """
-    lh = h.bandlimit
-    if n < 0 or u < 0:
-        raise ValueError("flat indices must be nonnegative")
-    _, m = degree_and_order(n)
-    _, w = degree_and_order(u)
-    q = w - m
-    off = lh - 1
-    cube = np.zeros((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
-    hb = window_blocks(h)
-    if abs(q) <= lh - 1:
-        for p in range(abs(q), lh):
-            t = triple_product(n, p, q, u)
-            if t != 0.0:
-                cube[p, off + q, off - p : off + p + 1] = t * hb[p, off - p : off + p + 1]
-    return WignerCoeffs(lh, cube)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,26 +116,3 @@ def forward_dslsht(f: SphericalCoeffs, h: SphericalCoeffs) -> DslshtRep:
     lg = lf + lh - 1
     tau = np.stack([forward_component(u, f, lh) for u in range(lg * lg)])
     return DslshtRep(lf, lh, tau[:, :, :, None] * window_blocks(h)[:, None, :])
-
-
-def dslsht_direct(
-    f_samples: np.ndarray,
-    grid: SphereGrid,
-    h: SphericalCoeffs,
-    rho: Rotation,
-    u: int,
-) -> complex:
-    """Single transform value by direct quadrature of the defining integral.
-
-    Brute-force reference path for test-scale bandlimits; ``f_samples`` must
-    be a signal bandlimited within the grid.  The grid must resolve the full
-    product integrand: with ``v`` the degree of ``u``, this requires
-    ``grid.bandlimit >= lh + v - 1``.
-    """
-    v, _ = degree_and_order(u)
-    if grid.bandlimit < h.bandlimit + v - 1:
-        raise ValueError("grid too coarse for the product integrand")
-    rotated = rotate_coeffs(h, rho)
-    h_samples = inverse_sht(rotated, grid)
-    yu = inverse_sht(SphericalCoeffs.unit(v + 1, u), grid)
-    return grid.integrate(np.asarray(f_samples) * h_samples * np.conj(yu))

@@ -34,17 +34,20 @@ from .sphere import SphericalCoeffs, synthesize
 
 logger = logging.getLogger(__name__)
 
+_TEST_SIGNAL_SLOPE = 2.0  # power-law slope of the test signal's degree spectrum
 
-def make_test_signal(lf: int, seed: int, slope: float = 2.0) -> SphericalCoeffs:
+
+def make_test_signal(lf: int, seed: int) -> SphericalCoeffs:
     """Random bandlimited source with a red spectrum, normalised to unit norm.
 
     Coefficients are complex Gaussian with standard deviation
-    ``(1 + l)**(-slope/2)``; the draw is deterministic in ``seed``.
+    ``(1 + l)**(-slope/2)``, ``slope = 2``; the draw is deterministic in
+    ``seed``.
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(lf * lf) + 1j * rng.standard_normal(lf * lf)
     ls = np.floor(np.sqrt(np.arange(lf * lf))).astype(int)
-    data = raw * (1.0 + ls) ** (-0.5 * slope)
+    data = raw * (1.0 + ls) ** (-0.5 * _TEST_SIGNAL_SLOPE)
     return SphericalCoeffs(lf, data / np.linalg.norm(data))
 
 
@@ -210,6 +213,8 @@ class ExperimentConfig:
             raise ValueError(f"SNR targets must be finite, got {self.snr_targets_db}")
         if self.lf < 1 or self.lh < 1:
             raise ValueError("bandlimits must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ A spherical ellipse has no such structure.  It is star-shaped about the
 north pole, so its kernel quadrature integrates radially (Gauss-Legendre in
 colatitude out to the region boundary) on a uniform longitude grid; the
 longitude integrand is a smooth periodic function of ``phi`` and converges
-spectrally.
+spectrally.  The rule is fixed by the bandlimit: ``max(16 L, 128)``
+longitudes times ``max(2 L + 16, 48)`` colatitude nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import Union
 import numpy as np
 
 from .sphere import SphericalCoeffs, _legendre_table
+
+_AREA_N_PHI = 4096  # longitudes of the ellipse area rule
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,8 @@ class SphericalEllipse:
             hi = np.where(inside, hi, mid)
         return 0.5 * (lo + hi)
 
-    def area(self, n_phi: int = 4096) -> float:
-        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    def area(self) -> float:
+        phis = 2.0 * math.pi * np.arange(_AREA_N_PHI) / _AREA_N_PHI
         r = self.boundary_colatitude(phis)
         return float(np.mean(1.0 - np.cos(r)) * 2.0 * math.pi)
 
@@ -171,30 +174,20 @@ def _quadrature_kernel(region: Region, L: int, n_phi: int, n_radial: int) -> np.
     return 0.5 * (K + K.conj().T)
 
 
-def concentration_kernel(
-    region: Region,
-    bandlimit: int,
-    n_phi: int | None = None,
-    n_radial: int | None = None,
-) -> np.ndarray:
+def concentration_kernel(region: Region, bandlimit: int) -> np.ndarray:
     """Hermitian concentration kernel of the region at the given bandlimit.
 
     A ``PolarCap`` kernel is built one order at a time from ``bandlimit``
-    Gauss-Legendre nodes in ``cos(theta)``; a rule with ``n >= bandlimit``
-    nodes is exact for it, so ``n_phi`` and ``n_radial`` are not used.  Any
-    other region uses ``n_phi`` longitudes times ``n_radial`` colatitude
-    nodes, and its accuracy depends on both.
+    Gauss-Legendre nodes in ``cos(theta)``, which is exact.  Any other region
+    uses ``max(16 L, 128)`` longitudes times ``max(2 L + 16, 48)`` colatitude
+    nodes.
     """
     if bandlimit < 1:
         raise ValueError("bandlimit must be positive")
     L = bandlimit
     if isinstance(region, PolarCap):
         return _cap_kernel(region.theta0, L)
-    if n_phi is None:
-        n_phi = max(16 * L, 128)
-    if n_radial is None:
-        n_radial = max(2 * L + 16, 48)
-    return _quadrature_kernel(region, L, n_phi, n_radial)
+    return _quadrature_kernel(region, L, max(16 * L, 128), max(2 * L + 16, 48))
 
 
 @dataclass(frozen=True)
@@ -214,19 +207,14 @@ class SlepianResult:
         return SphericalCoeffs(self.bandlimit, self.vectors[:, k])
 
 
-def slepian_window(
-    region: Region,
-    bandlimit: int,
-    n_phi: int | None = None,
-    n_radial: int | None = None,
-) -> SlepianResult:
+def slepian_window(region: Region, bandlimit: int) -> SlepianResult:
     """Solve the concentration problem on the region.
 
     Eigenvalues come back in descending order; each eigenvector's phase is
     fixed so its largest-magnitude coefficient has positive real part, making
     the output reproducible across linear-algebra backends.
     """
-    K = concentration_kernel(region, bandlimit, n_phi=n_phi, n_radial=n_radial)
+    K = concentration_kernel(region, bandlimit)
     evals, vecs = np.linalg.eigh(K)
     order = np.argsort(evals)[::-1]
     evals = evals[order]

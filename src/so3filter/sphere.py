@@ -5,6 +5,7 @@ Condon-Shortley phase, so ``conj(Y_l^m) = (-1)^m Y_l^{-m}``.  Coefficient
 vectors are flat, ordered by ``n = l(l+1) + m``.  Sampling uses the
 Driscoll-Healy equiangular grid of ``2L x 2L`` nodes whose closed-form ring
 weights integrate every spherical harmonic of degree below ``2L`` exactly.
+Pointwise synthesis at arbitrary angles serves raster rendering.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .so3 import Rotation, wigner_d_stack
 
 _SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -237,18 +236,3 @@ def synthesize(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
             vals += prof * np.exp(-1j * m * pf)
     out = vals.reshape(theta_b.shape)
     return complex(out[()]) if out.ndim == 0 else out
-
-
-def rotate_coeffs(coeffs: SphericalCoeffs, rho: Rotation) -> SphericalCoeffs:
-    """Coefficients of the rotated signal, ``sum_mp D^l_{m,mp}(rho) (f)_l^mp``."""
-    L = coeffs.bandlimit
-    stack = wigner_d_stack(L - 1, rho.beta)
-    out = np.empty(L * L, dtype=np.complex128)
-    for ell in range(L):
-        ms = np.arange(-ell, ell + 1)
-        block = coeffs.degree_slice(ell)
-        rotated = np.exp(-1j * ms * rho.alpha) * (
-            stack[ell] @ (np.exp(-1j * ms * rho.gamma) * block)
-        )
-        out[ell * ell : (ell + 1) * (ell + 1)] = rotated
-    return SphericalCoeffs(L, out)

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from so3filter import Rotation, SphericalCoeffs, WignerCoeffs, so3_synthesize
+from so3filter import SphericalCoeffs
+from so3_reference import Rotation, WignerCoeffs, so3_synthesize, wigner_D
 
 
 def racah_3j(j1, j2, j3, m1, m2, m3):
@@ -96,8 +97,6 @@ def so3_quadrature_inner(g: WignerCoeffs, v: WignerCoeffs):
 
 def so3_quadrature_analyze(g: WignerCoeffs) -> WignerCoeffs:
     """Recompute rotation-group spectra from point samples by quadrature."""
-    from so3filter import wigner_D
-
     L = g.bandlimit
     rots, w = so3_quadrature(L)
     vals = np.array([so3_synthesize(g, r) for r in rots])

@@ -1,4 +1,10 @@
-"""Wigner-d/D functions and spectra of bandlimited signals on the rotation group.
+"""Rotation-group reference code for the tests: Wigner-d/D, rotation-group
+spectra, rotated coefficient vectors, the analysis functions ``psi_{u,n}`` and
+the DSLSHT by direct quadrature of its defining integral.
+
+The package's filter works in coefficient space and never evaluates a
+Wigner-D function or rotates a signal; the tests use this module to check it
+against those definitions.
 
 Rotations use right-handed zyz Euler angles: ``Rotation(alpha, beta, gamma)``
 rotates by ``gamma`` about z, then ``beta`` about y, then ``alpha`` about z.
@@ -18,6 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from so3filter import (
+    SphereGrid,
+    SphericalCoeffs,
+    degree_and_order,
+    inverse_sht,
+    triple_product,
+)
+from so3filter.dslsht import window_blocks
 
 _TWO_PI = 2.0 * math.pi
 
@@ -218,3 +233,64 @@ def so3_synthesize(g: WignerCoeffs, rho: Rotation) -> complex:
         eg = np.exp(-1j * ms * rho.gamma)
         val += ea @ (stack[l] * g.block(l)) @ eg
     return complex(val)
+
+
+def rotate_coeffs(coeffs: SphericalCoeffs, rho: Rotation) -> SphericalCoeffs:
+    """Coefficients of the rotated signal, ``sum_mp D^l_{m,mp}(rho) (f)_l^mp``."""
+    L = coeffs.bandlimit
+    stack = wigner_d_stack(L - 1, rho.beta)
+    out = np.empty(L * L, dtype=np.complex128)
+    for ell in range(L):
+        ms = np.arange(-ell, ell + 1)
+        block = coeffs.degree_slice(ell)
+        rotated = np.exp(-1j * ms * rho.alpha) * (
+            stack[ell] @ (np.exp(-1j * ms * rho.gamma) * block)
+        )
+        out[ell * ell : (ell + 1) * (ell + 1)] = rotated
+    return SphericalCoeffs(L, out)
+
+
+def psi_coeffs(u: int, n: int, h: SphericalCoeffs) -> WignerCoeffs:
+    """Rotation-group spectrum of the analysis function ``psi_{u,n}``.
+
+    The coefficient at ``(p, q, q')`` is ``(h)_p^{q'} T(n; p, q; u)``; only
+    the single order ``q = w - m`` allowed by the selection rule survives.
+    """
+    lh = h.bandlimit
+    if n < 0 or u < 0:
+        raise ValueError("flat indices must be nonnegative")
+    _, m = degree_and_order(n)
+    _, w = degree_and_order(u)
+    q = w - m
+    off = lh - 1
+    cube = np.zeros((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
+    hb = window_blocks(h)
+    if abs(q) <= lh - 1:
+        for p in range(abs(q), lh):
+            t = triple_product(n, p, q, u)
+            if t != 0.0:
+                cube[p, off + q, off - p : off + p + 1] = t * hb[p, off - p : off + p + 1]
+    return WignerCoeffs(lh, cube)
+
+
+def dslsht_direct(
+    f_samples: np.ndarray,
+    grid: SphereGrid,
+    h: SphericalCoeffs,
+    rho: Rotation,
+    u: int,
+) -> complex:
+    """Single transform value by direct quadrature of the defining integral.
+
+    Brute-force reference path for test-scale bandlimits; ``f_samples`` must
+    be a signal bandlimited within the grid.  The grid must resolve the full
+    product integrand: with ``v`` the degree of ``u``, this requires
+    ``grid.bandlimit >= lh + v - 1``.
+    """
+    v, _ = degree_and_order(u)
+    if grid.bandlimit < h.bandlimit + v - 1:
+        raise ValueError("grid too coarse for the product integrand")
+    rotated = rotate_coeffs(h, rho)
+    h_samples = inverse_sht(rotated, grid)
+    yu = inverse_sht(SphericalCoeffs.unit(v + 1, u), grid)
+    return grid.integrate(np.asarray(f_samples) * h_samples * np.conj(yu))

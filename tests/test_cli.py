@@ -215,11 +215,15 @@ def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
         (["synth-noise", "--lf", "0"], ["bandlimit", "0"]),
         (["synth-noise", "--lf", "2", "--scale", "nan"], ["scale", "nan"]),
         (["synth-noise", "--lf", "2", "--scale", "-1"], ["scale", "-1"]),
+        (["synth-noise", "--lf", "2", "--seed", "-1"], ["--seed", "-1"]),
+        (["synth-noise", "--lf", "2", "--mixing-seed", "-1"], ["--mixing-seed", "-1"]),
+        (["benchmark", "--seed", "-1"], ["seed", "-1"]),
     ],
     ids=["slepian-region", "slepian-lh", "benchmark-region", "config-region",
          "benchmark-snr-db", "benchmark-realizations", "benchmark-lf",
          "benchmark-snr-db-range", "synth-noise-lf-negative", "synth-noise-lf-zero",
-         "synth-noise-scale-nan", "synth-noise-scale-negative"],
+         "synth-noise-scale-nan", "synth-noise-scale-negative", "synth-noise-seed",
+         "synth-noise-mixing-seed", "benchmark-seed"],
 )
 def test_bad_argument_exits_with_one_line(tmp_path, args, names):
     cfg = tmp_path / "exp.cfg"
@@ -227,7 +231,7 @@ def test_bad_argument_exits_with_one_line(tmp_path, args, names):
     out = tmp_path / "out"
     args = [a.format(cfg=cfg) for a in args]
     if args[0] == "synth-noise":
-        args += ["--seed", "1", "--out", str(out)]
+        args += ([] if "--seed" in args else ["--seed", "1"]) + ["--out", str(out)]
     else:
         args += ["--out", str(out)] if args[0] == "slepian" else ["--out-dir", str(out)]
     with pytest.raises(SystemExit) as exc:
@@ -237,6 +241,39 @@ def test_bad_argument_exits_with_one_line(tmp_path, args, names):
     for name in names:
         assert name in message
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["render", "--coeffs", "{s}", "--rows", "1", "--out", "{out}"], ["rows"]),
+        (["render", "--coeffs", "{s}", "--cols", "-3", "--out", "{out}"], ["columns"]),
+        (["snr", "--signal", "{zero}", "--observed", "{s}"], ["nonzero"]),
+        (["denoise", "--observed", "{s}", "--window", "{zero}", "--source", "{s}",
+          "--out", "{out}"], ["window", "nonzero"]),
+        (["denoise", "--observed", "{s}", "--window", "{s}", "--source", "{zero}",
+          "--out", "{out}"], ["source", "nonzero"]),
+        (["snr", "--signal", "{missing}", "--observed", "{s}"], ["{missing}"]),
+        (["slepian", "--region", "cap:15", "--lh", "2", "--out", "{missing}/h.slm"],
+         ["{missing}/h.slm"]),
+    ],
+    ids=["render-rows", "render-cols", "snr-zero-signal", "denoise-zero-window",
+         "denoise-zero-source", "missing-input", "unwritable-out"],
+)
+def test_rejected_input_exits_with_one_line(tmp_path, args, names):
+    from so3filter.io import write_coeffs
+    from so3filter import SphericalCoeffs
+
+    paths = {name: str(tmp_path / name) for name in ("s", "zero", "out", "missing")}
+    write_coeffs(paths["s"], make_test_signal(2, 5))
+    write_coeffs(paths["zero"], SphericalCoeffs.zeros(2))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in args])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    for name in names:
+        assert name.format(**paths) in message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s", "zero"]
 
 
 def test_denoise_requires_covariance_source(tmp_path):

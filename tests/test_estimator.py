@@ -17,7 +17,6 @@ from so3filter import (
     estimate_from_representation,
     forward_dslsht,
     recovery_matrix,
-    so3_norm_sq,
 )
 from so3filter.coupling import triple_product_rows
 from so3filter.dslsht import window_blocks

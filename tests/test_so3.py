@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from so3filter import (
+from so3filter import SphericalCoeffs
+
+from helpers import so3_quadrature, so3_quadrature_analyze, so3_quadrature_inner, wigner_d_sum
+from so3_reference import (
     Rotation,
-    SphericalCoeffs,
     WignerCoeffs,
     rotate_coeffs,
     so3_norm_sq,
@@ -16,8 +18,6 @@ from so3filter import (
     wigner_d_matrix,
     wigner_d_stack,
 )
-
-from helpers import so3_quadrature, so3_quadrature_analyze, so3_quadrature_inner, wigner_d_sum
 
 
 class TestRotationType:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3filter import (
-    Rotation,
     SphereGrid,
     SphericalCoeffs,
     degree_and_order,
@@ -16,11 +15,11 @@ from so3filter import (
     flat_index,
     forward_sht,
     inverse_sht,
-    rotate_coeffs,
     synthesize,
 )
 
 from helpers import random_coeffs
+from so3_reference import Rotation, rotate_coeffs
 
 
 @given(st.integers(min_value=0, max_value=100_000))
