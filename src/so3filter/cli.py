@@ -13,17 +13,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as sfio
 from .filtering import SpectralCovariance
 from .pipeline import (
-    BenchmarkResult,
     ExperimentConfig,
     NoiseModel,
     benchmark,
     build_signal_covariance,
-    calibrate_snr,
     denoise,
     make_test_signal,
     render_map,

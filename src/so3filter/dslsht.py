@@ -24,22 +24,20 @@ expands it into cubes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import triple_product_rows
-from .sphere import SphericalCoeffs
+from .sphere import SphericalCoeffs, _lm_index
 
 
 def window_blocks(h: SphericalCoeffs) -> np.ndarray:
     """Window coefficients as per-degree rows ``hb[p, q' + lh - 1]``."""
     lh = h.bandlimit
+    ps, qs = _lm_index(lh)
     hb = np.zeros((lh, 2 * lh - 1), dtype=np.complex128)
-    off = lh - 1
-    for p in range(lh):
-        hb[p, off - p : off + p + 1] = h.degree_slice(p)
+    hb[ps, qs + lh - 1] = h.data
     return hb
 
 
@@ -70,13 +68,6 @@ class DslshtRep:
         return self.lf + self.lh - 1
 
 
-@functools.lru_cache(maxsize=None)
-def _slots(lh: int) -> np.ndarray:
-    """Flat ``(p, q + lh - 1)`` positions of the rows ``|q| <= p < lh``, in row order."""
-    orders = np.abs(np.arange(2 * lh - 1) - (lh - 1))
-    return np.flatnonzero(orders <= np.arange(lh)[:, None])
-
-
 def component_rows(u: int, lf: int, lh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every triple-product row ``T(.; p, q; u)`` of component ``u``, concatenated.
 
@@ -85,7 +76,8 @@ def component_rows(u: int, lf: int, lh: int) -> tuple[np.ndarray, np.ndarray, np
     ``(lh, 2lh-1)`` layout of ``tau(u)``.
     """
     rows = [triple_product_rows(p, q, u, lf) for p in range(lh) for q in range(-p, p + 1)]
-    slot = np.repeat(_slots(lh), [nn.size for nn, _ in rows])
+    ps, qs = _lm_index(lh)
+    slot = np.repeat(ps * (2 * lh - 1) + qs + lh - 1, [nn.size for nn, _ in rows])
     return np.concatenate([nn for nn, _ in rows]), np.concatenate([tv for _, tv in rows]), slot
 
 

@@ -30,11 +30,18 @@ from .estimator import estimate_from_components
 from .filtering import FilterDiagnostics, SpectralCovariance, design_component
 from .io import write_pgm
 from .slepian import Region
-from .sphere import SphericalCoeffs, synthesize
+from .sphere import SphericalCoeffs, _lm_index, synthesize
 
 logger = logging.getLogger(__name__)
 
 _TEST_SIGNAL_SLOPE = 2.0  # power-law slope of the test signal's degree spectrum
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """Random generator for a draw that is deterministic in ``seed``."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def make_test_signal(lf: int, seed: int) -> SphericalCoeffs:
@@ -44,9 +51,9 @@ def make_test_signal(lf: int, seed: int) -> SphericalCoeffs:
     ``(1 + l)**(-slope/2)``, ``slope = 2``; the draw is deterministic in
     ``seed``.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     raw = rng.standard_normal(lf * lf) + 1j * rng.standard_normal(lf * lf)
-    ls = np.floor(np.sqrt(np.arange(lf * lf))).astype(int)
+    ls, _ = _lm_index(lf)
     data = raw * (1.0 + ls) ** (-0.5 * _TEST_SIGNAL_SLOPE)
     return SphericalCoeffs(lf, data / np.linalg.norm(data))
 
@@ -87,7 +94,7 @@ class NoiseModel:
         """Mixing matrix with real and imaginary parts i.i.d. uniform(-1, 1)."""
         if lf < 1:
             raise ValueError(f"bandlimit must be positive, got {lf}")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         n = lf * lf
         mat = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
         return cls(mat, scale)
@@ -99,7 +106,7 @@ class NoiseModel:
 
 def synth_noise(model: NoiseModel, seed: int) -> SphericalCoeffs:
     """One noise realisation; deterministic in ``seed``."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = model.mixing.shape[0]
     g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     return SphericalCoeffs(model.bandlimit, model.scale * (model.mixing @ g))

@@ -3,22 +3,25 @@
 The window is the leading eigenvector of the concentration kernel
 ``K[n, n'] = integral_R Y_n conj(Y_n') ds`` restricted to a region ``R``.
 
-A polar cap ``theta <= theta0`` is axisymmetric, so its kernel is block
-diagonal in the order ``m`` and the blocks at ``+m`` and ``-m`` coincide.
-With ``x = cos(theta)`` each block is the real Gram
-``2 pi sum_i w_i P_l^m(x_i) P_l'^m(x_i)`` of the normalised Legendre
-functions, and its integrand is a polynomial of degree ``l + l' <= 2L - 2``
-in ``x``.  Gauss-Legendre on ``[cos(theta0), 1]`` with ``n >= L`` nodes
-therefore integrates it exactly; the cap kernel uses ``n = L``.  The
-interval half-width is taken as ``sin^2(theta0 / 2)`` so that tiny caps
-keep positive weights.
+Both kernels read the signed Legendre table of ``sphere``, whose row
+``P[n, i]`` is the colatitude part of ``Y_n`` at node ``i``.
+
+A polar cap ``theta <= theta0`` is axisymmetric, so its kernel vanishes
+between different orders.  With ``x = cos(theta)`` it is the real Gram
+``2 pi sum_i w_i P[n, i] P[n', i]`` of the table, masked to ``m = m'``; its
+integrand is a polynomial of degree ``l + l' <= 2L - 2`` in ``x``.
+Gauss-Legendre on ``[cos(theta0), 1]`` with ``n >= L`` nodes therefore
+integrates it exactly; the cap kernel uses ``n = L``.  The interval
+half-width is taken as ``sin^2(theta0 / 2)`` so that tiny caps keep positive
+weights.
 
 A spherical ellipse has no such structure.  It is star-shaped about the
 north pole, so its kernel quadrature integrates radially (Gauss-Legendre in
 colatitude out to the region boundary) on a uniform longitude grid; the
 longitude integrand is a smooth periodic function of ``phi`` and converges
 spectrally.  The rule is fixed by the bandlimit: ``max(16 L, 128)``
-longitudes times ``max(2 L + 16, 48)`` colatitude nodes.
+longitudes times ``max(2 L + 16, 48)`` colatitude nodes, and each
+longitude's phase factor is shared by its colatitude nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .sphere import SphericalCoeffs, _legendre_table
+from .sphere import SphericalCoeffs, _lm_index, _ylm_table
 
 _AREA_N_PHI = 4096  # longitudes of the ellipse area rule
 
@@ -128,22 +131,14 @@ def _region_nodes(region: Region, n_phi: int, n_radial: int):
 
 
 def _cap_kernel(theta0: float, L: int) -> np.ndarray:
-    """Exact per-order kernel of the cap ``theta <= theta0``."""
+    """Exact kernel of the cap ``theta <= theta0``: a Gram masked to equal orders."""
     gx, gw = np.polynomial.legendre.leggauss(L)
     half = math.sin(0.5 * theta0) ** 2                  # (1 - cos(theta0)) / 2
     if half == 0.0:
         raise ValueError("region is degenerate under the quadrature grid")
-    tbl = _legendre_table(L, 1.0 - half * (1.0 - gx))
-    root_w = np.sqrt(2.0 * math.pi * half * gw)
-    K = np.zeros((L * L, L * L), dtype=np.complex128)
-    ls = np.arange(L)
-    for m in range(L):
-        lr = ls[m:]
-        scaled = tbl[m:, m] * root_w
-        block = scaled @ scaled.T
-        for n in (lr * (lr + 1) + m, lr * (lr + 1) - m):
-            K[n[:, None], n[None, :]] = block
-    return K
+    scaled = _ylm_table(L, 1.0 - half * (1.0 - gx)) * np.sqrt(2.0 * math.pi * half * gw)
+    _, ms = _lm_index(L)
+    return np.where(ms[:, None] == ms, scaled @ scaled.T, 0.0).astype(np.complex128)
 
 
 def _quadrature_kernel(region: Region, L: int, n_phi: int, n_radial: int) -> np.ndarray:
@@ -153,23 +148,15 @@ def _quadrature_kernel(region: Region, L: int, n_phi: int, n_radial: int) -> np.
         raise ValueError("region is degenerate under the quadrature grid")
 
     K = np.zeros((L * L, L * L), dtype=np.complex128)
-    ls = np.arange(L)
+    _, ms = _lm_index(L)
     # Chunk over longitude to bound the size of the node-value matrix.
     chunk = max(1, (1 << 22) // (n_radial * L * L))
     for start in range(0, n_phi, chunk):
         stop = min(start + chunk, n_phi)
-        th = thetas[start:stop].ravel()
-        ph = np.repeat(phis[start:stop], n_radial)
         wt = weights[start:stop].ravel()
-        tbl = _legendre_table(L, np.cos(th))
-        Y = np.empty((th.size, L * L), dtype=np.complex128)
-        for m in range(L):
-            lr = ls[m:]
-            ep = np.exp(1j * m * ph)
-            Y[:, lr * (lr + 1) + m] = tbl[m:, m].T * ep[:, None]
-            if m > 0:
-                sign = 1.0 if m % 2 == 0 else -1.0
-                Y[:, lr * (lr + 1) - m] = sign * tbl[m:, m].T * np.conj(ep)[:, None]
+        tbl = _ylm_table(L, np.cos(thetas[start:stop])).reshape(L * L, stop - start, n_radial)
+        phase = np.exp(1j * np.outer(np.arange(1 - L, L), phis[start:stop]))[ms + L - 1]
+        Y = (tbl * phase[:, :, None]).reshape(L * L, -1).T
         K += (wt[:, None] * Y).T @ np.conj(Y)
     return 0.5 * (K + K.conj().T)
 
@@ -177,8 +164,8 @@ def _quadrature_kernel(region: Region, L: int, n_phi: int, n_radial: int) -> np.
 def concentration_kernel(region: Region, bandlimit: int) -> np.ndarray:
     """Hermitian concentration kernel of the region at the given bandlimit.
 
-    A ``PolarCap`` kernel is built one order at a time from ``bandlimit``
-    Gauss-Legendre nodes in ``cos(theta)``, which is exact.  Any other region
+    A ``PolarCap`` kernel is one Gram over ``bandlimit`` Gauss-Legendre nodes
+    in ``cos(theta)``, masked to equal orders, which is exact.  Any other region
     uses ``max(16 L, 128)`` longitudes times ``max(2 L + 16, 48)`` colatitude
     nodes.
     """

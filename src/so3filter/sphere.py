@@ -2,14 +2,21 @@
 
 The basis is the orthonormal complex spherical harmonics with the
 Condon-Shortley phase, so ``conj(Y_l^m) = (-1)^m Y_l^{-m}``.  Coefficient
-vectors are flat, ordered by ``n = l(l+1) + m``.  Sampling uses the
-Driscoll-Healy equiangular grid of ``2L x 2L`` nodes whose closed-form ring
-weights integrate every spherical harmonic of degree below ``2L`` exactly.
-Pointwise synthesis at arbitrary angles serves raster rendering.
+vectors are flat, ordered by ``n = l(l+1) + m``.  This module owns that
+layout for the package: a cached read-only ``(l, m)`` index per bandlimit,
+and a signed table ``P[n, i]`` with ``Y_n(theta_i, phi) = P[n, i] exp(i m phi)``,
+the one place where an order ``-m`` takes its ``(-1)^m``.  Transforms,
+synthesis and the Slepian kernels read the table row by row in flat order.
+
+Sampling uses the Driscoll-Healy equiangular grid of ``2L x 2L`` nodes whose
+closed-form ring weights integrate every spherical harmonic of degree below
+``2L`` exactly.  Pointwise synthesis at arbitrary angles serves raster
+rendering; it builds one table column per distinct colatitude.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,49 +132,61 @@ class SphereGrid:
         return complex(np.sum(samples * self.node_weights()))
 
 
-def _legendre_table(bandlimit: int, x: np.ndarray) -> np.ndarray:
-    """Normalised associated Legendre values at ``x = cos(theta)``.
+@functools.lru_cache(maxsize=None)
+def _lm_index(bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only degree ``l`` and order ``m`` of every flat index ``n < bandlimit**2``."""
+    ls = np.repeat(np.arange(bandlimit), 2 * np.arange(bandlimit) + 1)
+    ms = np.arange(bandlimit * bandlimit) - ls * (ls + 1)
+    for arr in (ls, ms):
+        arr.setflags(write=False)
+    return ls, ms
 
-    Returns an array ``tbl[l, m, i]`` for ``0 <= m <= l < bandlimit`` holding
-    the colatitude part of ``Y_l^m`` (Condon-Shortley phase included), built
-    by the normalised three-term degree recursion.
+
+def _ylm_table(bandlimit: int, x: np.ndarray) -> np.ndarray:
+    """Colatitude part of every harmonic below ``bandlimit`` at ``x = cos(theta)``.
+
+    Returns ``P[n, i]`` in flat order with ``Y_n(theta_i, phi) = P[n, i] exp(i m phi)``,
+    Condon-Shortley phase included.  The normalised three-term degree
+    recursion fills the orders ``m >= 0`` one degree at a time; row
+    ``l(l+1) - m`` is then ``(-1)^m`` times row ``l(l+1) + m``.
     """
-    L = bandlimit
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
     s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    tbl = np.zeros((L, L, x.size))
-    tbl[0, 0] = 1.0 / _SQRT_4PI
-    for m in range(1, L):
-        tbl[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * tbl[m - 1, m - 1]
-    for m in range(L - 1):
-        tbl[m + 1, m] = math.sqrt(2 * m + 3) * x * tbl[m, m]
-    for m in range(L):
-        for ell in range(m + 2, L):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = math.sqrt(
-                (2.0 * ell + 1.0)
-                * ((ell - 1.0) ** 2 - m * m)
-                / ((2.0 * ell - 3.0) * (ell * ell - m * m))
-            )
-            tbl[ell, m] = a * x * tbl[ell - 1, m] - b * tbl[ell - 2, m]
-    return tbl
+    ls, ms = _lm_index(bandlimit)
+    l2, m2 = ls * ls, ms * ms
+    # Recursion weights of every row; only the rows with |m| <= l - 2 are read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l2 - 1.0) / (l2 - m2))[:, None]
+        b = np.sqrt(
+            (2.0 * ls + 1.0) * ((ls - 1.0) ** 2 - m2) / ((2.0 * ls - 3.0) * (l2 - m2))
+        )[:, None]
+    sign = np.where(ms % 2, -1.0, 1.0)[:, None]
+    P = np.empty((bandlimit * bandlimit, x.size))
+    P[0] = 1.0 / _SQRT_4PI
+    for ell in range(1, bandlimit):
+        n = ell * (ell + 1)
+        rows = slice(n, n + ell - 1)  # orders 0 .. ell - 2 from degrees ell - 1 and ell - 2
+        prev, prev2 = P[n - 2 * ell : n - ell - 1], P[n - 4 * ell + 2 : n - 3 * ell + 1]
+        P[rows] = a[rows] * x * prev - b[rows] * prev2
+        P[n + ell - 1] = math.sqrt(2 * ell + 1) * x * P[n - ell - 1]
+        P[n + ell] = -math.sqrt((2 * ell + 1) / (2.0 * ell)) * s * P[n - ell - 1]
+        P[ell * ell : n] = sign[ell * ell : n] * P[n + ell : n : -1]  # orders -ell .. -1
+    return P
+
+
+def _order_profiles(coeffs: SphericalCoeffs, tbl: np.ndarray) -> np.ndarray:
+    """``prof[m + L - 1, i] = sum_l (coeffs)_l^m P[l(l+1) + m, i]``, one degree slice at a time."""
+    L = coeffs.bandlimit
+    prof = np.zeros((2 * L - 1, tbl.shape[1]), dtype=np.complex128)
+    for ell in range(L):
+        rows = tbl[ell * ell : (ell + 1) ** 2]
+        prof[L - 1 - ell : L + ell] += coeffs.degree_slice(ell)[:, None] * rows
+    return prof
 
 
 def eval_ylm(ell: int, m: int, theta, phi):
     """Spherical harmonic ``Y_l^m(theta, phi)``; broadcasts over angle arrays."""
-    if ell < 0 or abs(m) > ell:
-        raise ValueError("need 0 <= |m| <= ell")
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if np.any(theta < 0.0) or np.any(theta > math.pi):
-        raise ValueError("colatitude must lie in [0, pi]")
-    theta_b, phi_b = np.broadcast_arrays(theta, phi)
-    tbl = _legendre_table(ell + 1, np.cos(theta_b.ravel()))
-    leg = tbl[ell, abs(m)]
-    sign = 1.0 if m >= 0 or m % 2 == 0 else -1.0
-    vals = sign * leg * np.exp(1j * m * phi_b.ravel())
-    out = vals.reshape(theta_b.shape)
-    return complex(out[()]) if out.ndim == 0 else out
+    return synthesize(SphericalCoeffs.unit(ell + 1, flat_index(ell, m)), theta, phi)
 
 
 def forward_sht(samples: np.ndarray, grid: SphereGrid, bandlimit: int | None = None) -> SphericalCoeffs:
@@ -182,19 +201,11 @@ def forward_sht(samples: np.ndarray, grid: SphereGrid, bandlimit: int | None = N
         raise ValueError("samples do not match the grid")
     if L < 1 or L > grid.bandlimit:
         raise ValueError("bandlimit exceeds the grid design bandlimit")
-    tbl = _legendre_table(L, np.cos(grid.thetas))
-    weighted = samples * grid.node_weights()
-    phase = np.exp(-1j * np.outer(grid.phis, np.arange(L)))
-    gpos = weighted @ phase          # (n_theta, L): sum_k w f exp(-i m phi)
-    gneg = weighted @ np.conj(phase)
-    coeffs = np.zeros(L * L, dtype=np.complex128)
-    for m in range(L):
-        ls = np.arange(m, L)
-        coeffs[ls * (ls + 1) + m] = tbl[m:, m] @ gpos[:, m]
-        if m > 0:
-            sign = 1.0 if m % 2 == 0 else -1.0
-            coeffs[ls * (ls + 1) - m] = sign * (tbl[m:, m] @ gneg[:, m])
-    return SphericalCoeffs(L, coeffs)
+    # g[i, m + L - 1] = sum_k w f exp(-i m phi_k) on ring i
+    g = (samples * grid.node_weights()) @ np.exp(-1j * np.outer(grid.phis, np.arange(1 - L, L)))
+    _, ms = _lm_index(L)
+    tbl = _ylm_table(L, np.cos(grid.thetas))
+    return SphericalCoeffs(L, np.einsum("ni,in->n", tbl, g[:, ms + L - 1]))
 
 
 def inverse_sht(coeffs: SphericalCoeffs, grid: SphereGrid) -> np.ndarray:
@@ -202,37 +213,25 @@ def inverse_sht(coeffs: SphericalCoeffs, grid: SphereGrid) -> np.ndarray:
     L = coeffs.bandlimit
     if L > grid.bandlimit:
         raise ValueError("grid design degree below the coefficient bandlimit")
-    tbl = _legendre_table(L, np.cos(grid.thetas))
-    profiles = np.zeros((grid.thetas.size, 2 * L - 1), dtype=np.complex128)
-    for m in range(L):
-        ls = np.arange(m, L)
-        profiles[:, L - 1 + m] = coeffs.data[ls * (ls + 1) + m] @ tbl[m:, m]
-        if m > 0:
-            sign = 1.0 if m % 2 == 0 else -1.0
-            profiles[:, L - 1 - m] = sign * (
-                coeffs.data[ls * (ls + 1) - m] @ tbl[m:, m]
-            )
-    phase = np.exp(1j * np.outer(np.arange(-(L - 1), L), grid.phis))
-    return profiles @ phase
+    prof = _order_profiles(coeffs, _ylm_table(L, np.cos(grid.thetas)))
+    return prof.T @ np.exp(1j * np.outer(np.arange(1 - L, L), grid.phis))
 
 
 def synthesize(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
-    """Pointwise synthesis at arbitrary angles; broadcasts over inputs."""
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    theta_b, phi_b = np.broadcast_arrays(theta, phi)
-    tf = theta_b.ravel()
-    pf = phi_b.ravel()
+    """Pointwise synthesis at arbitrary angles; broadcasts over inputs.
+
+    Colatitudes must lie in ``[0, pi]``: outside it, ``cos(theta)`` names a
+    point on another meridian.
+    """
+    theta, phi = np.broadcast_arrays(
+        np.asarray(theta, dtype=np.float64), np.asarray(phi, dtype=np.float64)
+    )
+    if not np.all((theta >= 0.0) & (theta <= math.pi)):
+        raise ValueError("colatitude must lie in [0, pi]")
     L = coeffs.bandlimit
-    tbl = _legendre_table(L, np.cos(tf))
-    vals = np.zeros(tf.size, dtype=np.complex128)
-    for m in range(L):
-        ls = np.arange(m, L)
-        prof = coeffs.data[ls * (ls + 1) + m] @ tbl[m:, m]
-        vals += prof * np.exp(1j * m * pf)
-        if m > 0:
-            sign = 1.0 if m % 2 == 0 else -1.0
-            prof = sign * (coeffs.data[ls * (ls + 1) - m] @ tbl[m:, m])
-            vals += prof * np.exp(-1j * m * pf)
-    out = vals.reshape(theta_b.shape)
+    # One table column per distinct colatitude: a raster row shares its column.
+    cols, col = np.unique(theta, return_inverse=True)
+    prof = _order_profiles(coeffs, _ylm_table(L, np.cos(cols)))
+    phase = np.exp(1j * np.outer(np.arange(1 - L, L), phi.ravel()))
+    out = np.einsum("mi,mi->i", prof[:, col.ravel()], phase).reshape(theta.shape)
     return complex(out[()]) if out.ndim == 0 else out

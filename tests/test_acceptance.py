@@ -31,7 +31,6 @@ from so3filter import (
     make_test_signal,
     normal_matrix,
     normal_rhs,
-    nonzero_n_range,
     recovery_matrix,
     slepian_window,
     snr,
@@ -42,7 +41,6 @@ from so3filter import (
     NoiseModel,
 )
 from so3filter.dslsht import window_blocks
-from so3filter.coupling import triple_product_rows
 
 from helpers import random_coeffs, random_psd
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3filter import (
-    DslshtRep,
     SphericalCoeffs,
     SpectralCovariance,
     apply_filter,
@@ -19,7 +18,6 @@ from so3filter import (
     recovery_matrix,
 )
 from so3filter.coupling import triple_product_rows
-from so3filter.dslsht import window_blocks
 from so3filter.estimator import accumulate_component
 
 from helpers import random_coeffs, random_psd

@@ -14,7 +14,6 @@ from so3filter import (
     normal_rhs,
     nonzero_n_range,
     triple_product,
-    SphericalCoeffs,
 )
 from so3filter.coupling import triple_product_block
 from so3filter.filtering import _gram_pair

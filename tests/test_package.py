@@ -1,7 +1,9 @@
 """The package's public surface: only what the denoiser and its checks use."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import so3filter
 
@@ -33,3 +35,23 @@ def test_public_names_resolve_and_exclude_reference_code():
     for module in modules:
         for name in REFERENCE_ONLY:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never mentions, by a scan of its syntax tree."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_use_every_name_they_import():
+    # ``__init__`` imports to re-export, so it is left out.
+    modules = sorted(Path(so3filter.__file__).parent.glob("*.py"))
+    unused = {p.name: unused_imports(p) for p in modules if p.name != "__init__.py"}
+    assert not {name: names for name, names in unused.items() if names}

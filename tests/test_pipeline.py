@@ -337,3 +337,17 @@ class TestTestSignal:
         low = np.mean(np.abs(s.degree_slice(1)) ** 2)
         high = np.mean(np.abs(s.degree_slice(15)) ** 2)
         assert high < low
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: make_test_signal(2, seed),
+        lambda seed: NoiseModel.random(2, seed),
+        lambda seed: synth_noise(NoiseModel.random(2, 0), seed),
+    ],
+    ids=["make_test_signal", "NoiseModel.random", "synth_noise"],
+)
+def test_negative_seed_rejected_with_its_value(draw):
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        draw(-1)

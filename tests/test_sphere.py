@@ -17,6 +17,7 @@ from so3filter import (
     inverse_sht,
     synthesize,
 )
+from so3filter.sphere import _lm_index
 
 from helpers import random_coeffs
 from so3_reference import Rotation, rotate_coeffs
@@ -32,6 +33,13 @@ def test_index_roundtrip(n):
 def test_flat_index_rejects_bad_order():
     with pytest.raises(ValueError):
         flat_index(2, 3)
+
+
+def test_layout_index_is_read_only_and_matches_flat_index():
+    ls, ms = _lm_index(5)
+    assert [flat_index(int(ell), int(m)) for ell, m in zip(ls, ms)] == list(range(25))
+    with pytest.raises(ValueError):
+        ms[0] = 1
 
 
 class TestEvalYlm:
@@ -61,10 +69,11 @@ class TestEvalYlm:
         assert np.conj(eval_ylm(2, 1, theta, phi)) + eval_ylm(2, -1, theta, phi) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_scipy(self):
+        # Every order below the desk preset's signal bandlimit 16.
         sph_harm_y = pytest.importorskip("scipy.special").sph_harm_y
         thetas = np.linspace(0.05, math.pi - 0.05, 7)
         phis = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
-        for ell in range(6):
+        for ell in range(16):
             for m in range(-ell, ell + 1):
                 ours = eval_ylm(ell, m, thetas, phis)
                 ref = sph_harm_y(ell, m, thetas, phis)
@@ -75,6 +84,10 @@ class TestEvalYlm:
             eval_ylm(1, 2, 0.5, 0.5)
         with pytest.raises(ValueError):
             eval_ylm(1, 0, -0.5, 0.0)
+        # Outside [0, pi] cos(theta) names a point on another meridian.
+        for theta in (-0.5, math.pi + 0.5, math.nan):
+            with pytest.raises(ValueError, match="colatitude"):
+                synthesize(SphericalCoeffs.unit(2, 1), theta, 0.0)
 
 
 class TestGrid:
