@@ -189,8 +189,8 @@ def _cmd_benchmark(args) -> int:
     cfg = _benchmark_config(args)
     if args.preset == "full":
         logger.warning(
-            "full-scale preset (lf=%d, lh=%d): expect about 10 minutes per denoise "
-            "and 1.6 GB of RAM (one measured run on a 2-core x86_64 machine)",
+            "full-scale preset (lf=%d, lh=%d): expect about 5 minutes per denoise "
+            "and 1.5 GB of RAM (one measured run on a 2-core x86_64 machine)",
             cfg.lf, cfg.lh,
         )
     if cfg.signal_path:

@@ -34,10 +34,19 @@ from .dslsht import DslshtRep
 # Relative eigenvalue cut-off of the per-block solve.
 RCOND = 1e-10
 
+# Rows per band of the covariance checks.
+_BAND_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SpectralCovariance:
-    """Hermitian covariance of harmonic coefficient vectors, indexed by ``n``."""
+    """Hermitian covariance of harmonic coefficient vectors, indexed by ``n``.
+
+    ``matrix`` becomes a new read-only C-contiguous array holding the
+    Hermitian part ``0.5 * (M + M^H)`` of the given ``M``, which is left
+    untouched; it is the only ``n x n`` array the checks allocate.  ``M``
+    must be finite and Hermitian to 1e-12 of its largest entry.
+    """
 
     bandlimit: int
     matrix: np.ndarray
@@ -49,15 +58,21 @@ class SpectralCovariance:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got {mat.shape}")
-        if not np.isfinite(mat).all():
+        # The checks run over row bands, so their temporaries stay a slice of
+        # the matrix; the result is the one new n x n array.
+        bands = [slice(i, i + _BAND_ROWS) for i in range(0, n, _BAND_ROWS)]
+        if not all(np.isfinite(mat[b]).all() for b in bands):
             raise ValueError("covariance matrix has non-finite entries")
+        herm = np.empty((n, n), dtype=np.complex128)
+        np.conjugate(mat.T, out=herm)
         # Relative to the matrix's own scale; an all-zero matrix passes.
-        asym = float(np.abs(mat - mat.conj().T).max())
-        if asym > 1e-12 * float(np.abs(mat).max()):
+        asym = max(float(np.abs(mat[b] - herm[b]).max()) for b in bands)
+        if asym > 1e-12 * max(float(np.abs(mat[b]).max()) for b in bands):
             raise ValueError("covariance matrix is not Hermitian")
-        mat = 0.5 * (mat + mat.conj().T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        herm += mat  # the bits of 0.5 * (mat + mat^H), formed in place
+        herm *= 0.5
+        herm.setflags(write=False)
+        object.__setattr__(self, "matrix", herm)
 
     @classmethod
     def zeros(cls, bandlimit: int) -> "SpectralCovariance":
@@ -188,6 +203,19 @@ def normal_rhs(p: int, q: int, u: int, cs: SpectralCovariance) -> np.ndarray:
     return _full_normal(p, u, cs)[:, q + p].copy()
 
 
+def _stacked_pair(cs: SpectralCovariance, cz: SpectralCovariance) -> np.ndarray:
+    """``[Cs + Cz, Cs]`` in one new C-contiguous array, with no ``Cs + Cz`` temporary.
+
+    Every block gathers from both layers with one flat ``take`` on
+    ``stacked.ravel()``, which is a view because the array is contiguous.
+    """
+    n = cs.matrix.shape[0]
+    stacked = np.empty((2, n, n), dtype=np.complex128)
+    np.add(cs.matrix, cz.matrix, out=stacked[0])
+    stacked[1] = cs.matrix
+    return stacked
+
+
 def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
     """Solve every order ``q`` of one ``(p, u)`` block.
 
@@ -243,7 +271,9 @@ def design_filter(cs: SpectralCovariance, cz: SpectralCovariance, lh: int) -> Jo
     """Design the joint-domain MMSE filter from known covariances.
 
     Every ``(p, q, u)`` slot is populated; blocks that needed eigenvalue
-    truncation carry the pseudo-inverse flag.
+    truncation carry the pseudo-inverse flag.  Beside the inputs, the design
+    holds one stacked pair ``[Cs + Cz, Cs]``: two ``n x n`` arrays, built
+    with no sum temporary.
     """
     if cs.bandlimit != cz.bandlimit:
         raise ValueError("covariance bandlimits differ")
@@ -251,7 +281,7 @@ def design_filter(cs: SpectralCovariance, cz: SpectralCovariance, lh: int) -> Jo
         raise ValueError("window bandlimit must be positive")
     lf = cs.bandlimit
     lg = lf + lh - 1
-    stacked = np.stack([cs.matrix + cz.matrix, cs.matrix])
+    stacked = _stacked_pair(cs, cz)
     diag = FilterDiagnostics.zeros(lg, lh)
     zeta = np.empty((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
     for u in range(lg * lg):

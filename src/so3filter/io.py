@@ -23,19 +23,23 @@ from .sphere import SphericalCoeffs
 PSD_TOL = 1e-10
 
 
-def _header_bandlimit(path, lines: list[str], tag: str, kind: str) -> int:
-    """Bandlimit ``L`` of a ``<tag> v1 L=<int>`` header; errors name ``path``."""
-    if not lines:
+def _header_bandlimit(path, head: str, tag: str, kind: str) -> int:
+    """Bandlimit ``L`` of a ``<tag> v1 L=<int>`` first line; errors name ``path``.
+
+    ``head`` is the line as ``readline`` returns it: empty at end of file.
+    """
+    if not head:
         raise ValueError(f"{path}: empty {kind} file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != tag or head[1] != "v1" or not head[2].startswith("L="):
-        raise ValueError(f"{path}: bad {kind} header {lines[0]!r}")
+    head = head.rstrip("\n")
+    fields = head.split()
+    if len(fields) != 3 or fields[0] != tag or fields[1] != "v1" or not fields[2].startswith("L="):
+        raise ValueError(f"{path}: bad {kind} header {head!r}")
     try:
-        L = int(head[2][2:])
+        L = int(fields[2][2:])
     except ValueError:
         L = 0
     if L < 1:
-        raise ValueError(f"{path}: {kind} header bandlimit {head[2]!r} is not a positive integer")
+        raise ValueError(f"{path}: {kind} header bandlimit {fields[2]!r} is not a positive integer")
     return L
 
 
@@ -47,15 +51,15 @@ def write_coeffs(path, coeffs: SphericalCoeffs) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _body(lines: list[str]) -> list[tuple[int, str]]:
-    """Nonblank lines after the header, with their 1-based line numbers."""
-    return [(num, ln) for num, ln in enumerate(lines[1:], start=2) if ln.strip()]
+def _body(fh):
+    """Nonblank lines after the header, with their 1-based line numbers, read lazily."""
+    return ((num, ln.rstrip("\n")) for num, ln in enumerate(fh, start=2) if ln.strip())
 
 
 def read_coeffs(path) -> SphericalCoeffs:
-    lines = Path(path).read_text().splitlines()
-    L = _header_bandlimit(path, lines, "slm", "coefficient")
-    body = _body(lines)
+    with open(path) as fh:
+        L = _header_bandlimit(path, fh.readline(), "slm", "coefficient")
+        body = list(_body(fh))
     if len(body) != L * L:
         raise ValueError(f"{path}: expected {L * L} coefficient lines, found {len(body)}")
     data = np.empty(L * L, dtype=np.complex128)
@@ -84,27 +88,43 @@ def write_covariance(path, cov: SpectralCovariance) -> None:
             fh.write("\n")
 
 
-def read_covariance(path) -> SpectralCovariance:
-    lines = Path(path).read_text().splitlines()
-    L = _header_bandlimit(path, lines, "cov", "covariance")
-    n = L * L
-    body = _body(lines)
-    if len(body) != n:
-        raise ValueError(f"{path}: expected {n} covariance rows, found {len(body)}")
+def _covariance_rows(path, body, n: int) -> np.ndarray:
+    """The ``n x n`` matrix of a covariance file body, parsed one row at a time.
+
+    Rows go straight into the matrix; the file's text is never held whole.
+    A wrong row count is reported before any malformed row, as it would be
+    if the rows were counted first.
+    """
     mat = np.empty((n, n), dtype=np.complex128)
-    for i, (num, ln) in enumerate(body):
+    pairs = mat.view(np.float64)  # row i holds re, im pairs, as the file does
+    found = 0
+    bad = None  # the first malformed row's error, raised once the count is right
+    for num, ln in body:
+        i, found = found, found + 1
+        if i >= n or bad is not None:
+            continue
         try:
             vals = np.array(ln.split(), dtype=np.float64)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {num}: {exc}") from None
+            bad = f"line {num}: {exc}"
+            continue
         if vals.size != 2 * n:
-            raise ValueError(
-                f"{path}: line {num}: covariance row {i} has {vals.size} values, expected {2 * n}"
-            )
-        if not np.isfinite(vals).all():
-            raise ValueError(f"{path}: line {num}: covariance row {i} has non-finite entries")
-        mat[i] = vals[0::2] + 1j * vals[1::2]
-    cov = SpectralCovariance(L, mat)
+            bad = f"line {num}: covariance row {i} has {vals.size} values, expected {2 * n}"
+        elif not np.isfinite(vals).all():
+            bad = f"line {num}: covariance row {i} has non-finite entries"
+        else:
+            pairs[i] = vals
+    if found != n:
+        raise ValueError(f"{path}: expected {n} covariance rows, found {found}")
+    if bad is not None:
+        raise ValueError(f"{path}: {bad}")
+    return mat
+
+
+def read_covariance(path) -> SpectralCovariance:
+    with open(path) as fh:
+        L = _header_bandlimit(path, fh.readline(), "cov", "covariance")
+        cov = SpectralCovariance(L, _covariance_rows(path, _body(fh), L * L))
     w = np.linalg.eigvalsh(cov.matrix)
     if w[0] < -PSD_TOL * np.abs(w).max():
         raise ValueError(f"{path}: covariance is not positive semidefinite (min eigenvalue {w[0]:.3g})")

@@ -27,7 +27,7 @@ import numpy as np
 from . import coupling
 from .dslsht import forward_component, window_blocks
 from .estimator import estimate_from_components
-from .filtering import FilterDiagnostics, SpectralCovariance, design_component
+from .filtering import FilterDiagnostics, SpectralCovariance, _stacked_pair, design_component
 from .io import write_pgm
 from .slepian import Region
 from .sphere import SphericalCoeffs, _lm_index, synthesize
@@ -96,12 +96,16 @@ class NoiseModel:
             raise ValueError(f"bandlimit must be positive, got {lf}")
         rng = _rng(seed)
         n = lf * lf
-        mat = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+        mat = np.empty((n, n), dtype=np.complex128)
+        mat.real = rng.uniform(-1.0, 1.0, (n, n))
+        mat.imag = rng.uniform(-1.0, 1.0, (n, n))
         return cls(mat, scale)
 
     def covariance(self) -> SpectralCovariance:
-        mat = self.scale**2 * (self.mixing @ self.mixing.conj().T)
-        return SpectralCovariance(self.bandlimit, 0.5 * (mat + mat.conj().T))
+        """``scale**2 T T^H``; ``SpectralCovariance`` takes its Hermitian part."""
+        mat = self.mixing @ self.mixing.conj().T
+        mat *= self.scale**2
+        return SpectralCovariance(self.bandlimit, mat)
 
 
 def synth_noise(model: NoiseModel, seed: int) -> SphericalCoeffs:
@@ -153,13 +157,17 @@ def denoise_with_diagnostics(
     cz: SpectralCovariance,
     h: SphericalCoeffs,
 ) -> tuple[SphericalCoeffs, FilterDiagnostics]:
-    """Streaming denoise that also reports the filter solver diagnostics."""
+    """Streaming denoise that also reports the filter solver diagnostics.
+
+    Beside the inputs, it holds one stacked pair ``[Cs + Cz, Cs]``: two
+    ``n x n`` arrays, built with no sum temporary.  The components stream.
+    """
     lf = f.bandlimit
     if cs.bandlimit != lf or cz.bandlimit != lf:
         raise ValueError("covariance bandlimits must match the observation")
     lh = h.bandlimit
     lg = lf + lh - 1
-    stacked = np.stack([cs.matrix + cz.matrix, cs.matrix])
+    stacked = _stacked_pair(cs, cz)
     hpow = np.sum(np.abs(window_blocks(h)) ** 2, axis=1)[:, None]  # per-degree window power
     diag = FilterDiagnostics.zeros(lg, lh)
 

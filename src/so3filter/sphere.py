@@ -221,13 +221,15 @@ def synthesize(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Pointwise synthesis at arbitrary angles; broadcasts over inputs.
 
     Colatitudes must lie in ``[0, pi]``: outside it, ``cos(theta)`` names a
-    point on another meridian.
+    point on another meridian.  Longitudes must be finite.
     """
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=np.float64), np.asarray(phi, dtype=np.float64)
     )
     if not np.all((theta >= 0.0) & (theta <= math.pi)):
         raise ValueError("colatitude must lie in [0, pi]")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("longitude must be finite")
     L = coeffs.bandlimit
     # One table column per distinct colatitude: a raster row shares its column.
     cols, col = np.unique(theta, return_inverse=True)

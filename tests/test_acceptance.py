@@ -6,6 +6,7 @@ smoke run is marked ``slow`` and deselected by default.
 """
 
 import math
+import resource
 import time
 
 import numpy as np
@@ -291,8 +292,10 @@ def test_full_scale_smoke():
     gain = snr(est, s) - snr(f, s)
     flagged = diag.flagged_fraction
     elapsed = time.time() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KB on Linux
     _report(
         "full-scale-smoke",
         flagged < 0.05 and gain > 0.0,
-        f"flagged {100 * flagged:.2f}% of slots, gain {gain:.2f} dB, {elapsed:.0f}s",
+        f"flagged {100 * flagged:.2f}% of slots, gain {gain:.2f} dB, {elapsed:.0f}s, "
+        f"peak RSS {peak_mb:.0f} MB",
     )

@@ -16,7 +16,7 @@ from so3filter import (
     triple_product,
 )
 from so3filter.coupling import triple_product_block
-from so3filter.filtering import _gram_pair
+from so3filter.filtering import _gram_pair, _stacked_pair
 
 from helpers import random_coeffs, random_psd
 
@@ -70,6 +70,35 @@ class TestCovarianceType:
         cov = _cov(3, 1)
         evals = np.linalg.eigvalsh(cov.matrix)
         assert evals.min() >= -1e-8 * np.trace(cov.matrix).real
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_hermitian_part_is_a_new_read_only_c_array(self, order):
+        rng = np.random.default_rng(7)
+        n = 100  # more rows than one band of the checks
+        m = random_psd(n, 3) + 1e-14 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = np.asarray(m, order=order)
+        before = m.copy()
+        cov = SpectralCovariance(10, m)
+        want = 0.5 * (m + m.conj().T)
+        assert cov.matrix.tobytes() == want.tobytes()  # bit for bit
+        assert cov.matrix.flags.c_contiguous and not cov.matrix.flags.writeable
+        assert m.tobytes() == before.tobytes()
+        # The gather takes from matrix.ravel(): a copy there would cost a matrix per block.
+        assert np.shares_memory(cov.matrix[None].ravel(), cov.matrix)
+
+    @pytest.mark.parametrize("bad, detail", [(math.nan, "non-finite"), (1.0, "not Hermitian")])
+    def test_rejects_a_bad_entry_past_the_first_band(self, bad, detail):
+        mat = np.eye(100, dtype=complex)
+        mat[90, 3] = bad
+        with pytest.raises(ValueError, match=detail):
+            SpectralCovariance(10, mat)
+
+    def test_stacked_pair_is_contiguous_and_exact(self):
+        cs, cz = _cov(3, 1), _cov(3, 2)
+        stacked = _stacked_pair(cs, cz)
+        want = np.stack([cs.matrix + cz.matrix, cs.matrix])
+        assert stacked.tobytes() == want.tobytes()
+        assert np.shares_memory(stacked.ravel(), stacked)
 
 
 class TestNormalMatrix:

@@ -103,6 +103,13 @@ class TestCovarianceFiles:
         with pytest.raises(ValueError):
             read_covariance(path)
 
+    def test_row_count_is_reported_before_a_malformed_row(self, tmp_path):
+        path = tmp_path / "bad.cov"
+        path.write_text("cov v1 L=1\n" + "1 abc\n" * 3)
+        with pytest.raises(ValueError) as exc:
+            read_covariance(path)
+        assert str(exc.value) == f"{path}: expected 1 covariance rows, found 3"
+
     def test_rejects_row_width_mismatch(self, tmp_path):
         path = tmp_path / "bad.cov"
         rows = ["1 0 0 0", "0 0 1 0"]

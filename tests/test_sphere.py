@@ -88,6 +88,11 @@ class TestEvalYlm:
         for theta in (-0.5, math.pi + 0.5, math.nan):
             with pytest.raises(ValueError, match="colatitude"):
                 synthesize(SphericalCoeffs.unit(2, 1), theta, 0.0)
+        for phi in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="longitude"):
+                synthesize(SphericalCoeffs.unit(2, 1), 0.5, phi)
+        with pytest.raises(ValueError, match="longitude"):
+            eval_ylm(2, 1, 0.5, np.array([0.0, math.inf]))
 
 
 class TestGrid:
