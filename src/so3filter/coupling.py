@@ -25,14 +25,17 @@ symmetries shape it further:
 * Reflection: ``(l p v; -m -q w) = (-1)^(l+p+v) (l p v; m q -w)``.  The sign
   is +1 wherever the parity factor is nonzero, so
   ``T(l(l+1) - m; p, -q; v(v+1) - w) = T(l(l+1) + m; p, q; v(v+1) + w)``, and
-  the rows with ``w > 0`` of a degree pair are copied from those at ``-w``
-  instead of being evaluated from 3j families.
+  a degree pair's record evaluates only the rows with ``w <= 0``.  A row
+  with ``w > 0`` has its own indices and reads the values of its mirror at
+  ``(-w, -q)``, which are stored once.  The rows at ``w = 0`` are kept as
+  evaluated: their ``+q`` and ``-q`` rows may differ in the sign of a zero.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 
 import numpy as np
 
@@ -243,14 +246,17 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
 # current ``v`` and builds each record once.  The desk preset's 184 records
 # fit whole, so every denoise of a desk sweep after the first reuses them.
 @functools.lru_cache(maxsize=192)
-def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, array]:
     """Every triple-product row ``T(.; p, k; v(v+1) + w)`` of one degree pair.
 
-    Returns read-only ``(nn, values, offsets)`` over the rows ``(w, k)``,
-    ``w`` from ``-v`` to ``v`` and, within each, ``k`` from ``-p`` to ``p``:
-    row ``r`` is ``nn[offsets[r] : offsets[r + 1]]`` with its values at the
-    same positions.  One kernel call evaluates the families of the nonempty
-    rows with ``w <= 0``; the rows with ``w > 0`` are their reflections.
+    Returns ``(nn, values, offsets)`` over the ``R = (2v+1)(2p+1)`` rows
+    ``(w, k)``, ``w`` from ``-v`` to ``v`` and, within each, ``k`` from ``-p``
+    to ``p``.  Row ``r`` has the ``int32`` indices ``nn[offsets[r] :
+    offsets[r + 1]]``, and ``offsets`` is one ``array("q")`` of ``R + 1``
+    positions.  ``values`` holds only the rows with ``w <= 0``, at the same
+    positions; a row with ``w > 0`` has the values of its reflection, row
+    ``R - 1 - r``.  One kernel call evaluates the families of the nonempty
+    rows with ``w <= 0``.  Both arrays are read-only.
     """
     w = np.repeat(np.arange(-v, 1), 2 * p + 1)
     k = np.tile(np.arange(-p, p + 1), v + 1)
@@ -270,17 +276,16 @@ def _pair_record(p: int, v: int, lf: int) -> tuple[np.ndarray, np.ndarray, tuple
             * fam
         )
         nn[live] = ls * (ls + 1) + m[live, None]
-    # Row (w, k) with w > 0 is row (-w, -k) with its order negated: the rows
-    # with w < 0 in reverse order.
+    # Row (w, k) with w > 0 has the indices of row (-w, -k) with the order
+    # negated, the rows with w < 0 in reverse order, and reads their values.
     neg = slice(0, v * (2 * p + 1))
-    grid = np.concatenate((grid, grid[neg][::-1]))
     nn = np.concatenate((nn, (nn - 2 * m[:, None])[neg][::-1]))
     sizes = np.concatenate((sizes, sizes[neg][::-1]))
     packed = np.arange(grid.shape[1]) < sizes[:, None]
-    record = nn[packed], grid[packed]
-    for arr in record:
+    nn, values = nn[packed].astype(np.int32), grid[packed[: w.size]]
+    for arr in (nn, values):
         arr.setflags(write=False)
-    return (*record, (0, *np.cumsum(sizes).tolist()))
+    return nn, values, array("q", (0, *np.cumsum(sizes).tolist()))
 
 
 def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np.ndarray]:
@@ -288,17 +293,20 @@ def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np
 
     Returns read-only ``(n_indices, values)`` with
     ``values[i] = T(n_indices[i]; p, q; u)``, covering exactly the candidates
-    from :func:`nonzero_n_range`.  Forward transform, filter design and
-    recovery all read their rows from here, as views into the record of the
-    degree pair ``(p, v)``.
+    from :func:`nonzero_n_range`; ``n_indices`` is ``int32``.  Forward
+    transform, filter design and recovery all read their rows from here, as
+    views into the record of the degree pair ``(p, v)``.  A row with
+    ``w > 0`` returns the values of its reflection ``(p, -q, v(v+1) - w)``
+    itself, not a copy.
     """
     if p < 0 or abs(q) > p or u < 0 or lf < 1:
         raise ValueError("invalid triple-product indices")
     v = math.isqrt(u)
+    w = u - v * v - v
     nn, values, offsets = _pair_record(p, v, lf)
-    r = (u - v * v) * (2 * p + 1) + q + p
-    row = slice(offsets[r], offsets[r + 1])
-    return nn[row], values[row]
+    r = (w + v) * (2 * p + 1) + q + p
+    mirror = (2 * v + 1) * (2 * p + 1) - 1 - r if w > 0 else r
+    return nn[offsets[r] : offsets[r + 1]], values[offsets[mirror] : offsets[mirror + 1]]
 
 
 def cache_info():

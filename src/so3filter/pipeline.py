@@ -262,20 +262,23 @@ def benchmark(
     """SNR-in versus SNR-out sweep over noise realisations.
 
     One mixing matrix is drawn from the master seed; realisation ``r`` draws
-    its noise from ``seed + r`` (1-based) and is shared across targets, with
-    the amplitude recalibrated per target.  Fully deterministic in the seed.
+    its noise from ``seed + r`` (1-based) once, before the first denoise, and
+    is shared across targets, with the amplitude recalibrated per target.
+    The noise model and its mixing matrix are released before the sweep.
+    Fully deterministic in the seed.
     """
     if s.bandlimit != cfg.lf or h.bandlimit != cfg.lh:
         raise ValueError("signal or window bandlimit does not match the config")
     model = NoiseModel.random(cfg.lf, cfg.seed)
     cs = build_signal_covariance(s)
     base_cov = model.covariance().matrix
+    draws = [synth_noise(model, cfg.seed + r) for r in range(1, cfg.realizations + 1)]
+    del model
     rows = []
     stats = []
     for target in cfg.snr_targets_db:
         outputs = []
-        for r in range(1, cfg.realizations + 1):
-            z_raw = synth_noise(model, cfg.seed + r)
+        for r, z_raw in enumerate(draws, start=1):
             z, alpha = calibrate_snr(s, z_raw, target)
             cz = SpectralCovariance(cfg.lf, alpha**2 * base_cov)
             f = SphericalCoeffs(cfg.lf, s.data + z.data)

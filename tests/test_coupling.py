@@ -314,6 +314,25 @@ class TestRowPlan:
         assert records.misses == lg * lh  # no record was evicted and rebuilt
         assert after - before <= 0.6 * len(needed)
 
+    def test_reflected_rows_read_their_mirror_values(self):
+        # a row with w > 0 stores only its indices; its values are the
+        # mirror row's (p, -q, v(v+1) - w) own array, not a copy
+        lf, lh = 7, 5
+        for u in range((lf + lh - 1) ** 2):
+            v, w = degree_and_order(u)
+            if w <= 0:
+                continue
+            for p in range(lh):
+                for q in range(-p, p + 1):
+                    nn, tv = triple_product_rows(p, q, u, lf)
+                    mnn, mtv = triple_product_rows(p, -q, v * (v + 1) - w, lf)
+                    assert nn.dtype == np.int32 and mnn.dtype == np.int32
+                    assert not (nn.flags.writeable or tv.flags.writeable)
+                    assert not (mnn.flags.writeable or mtv.flags.writeable)
+                    assert np.array_equal(nn, mnn + 2 * (w - q))
+                    assert tv.tobytes() == mtv.tobytes()
+                    assert tv.size == 0 or np.shares_memory(tv, mtv)
+
     def test_block_columns_equal_rows(self):
         lf, lh = 4, 3
         for u in range((lf + lh - 1) ** 2):

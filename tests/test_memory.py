@@ -1,8 +1,11 @@
-"""Covariance-sized memory on the way into the filter, at desk scale (lf = 16).
+"""Memory the denoiser allocates or holds, at desk scale (lf = 16, lh = 8).
 
-Each test measures a ``tracemalloc`` peak in units of one ``n x n`` complex
+Most tests measure a ``tracemalloc`` peak in units of one ``n x n`` complex
 matrix (``n = lf**2``): the arrays a step allocates, its result included.  At
-the full scale (``lf = 64``) one unit is 268 MB.
+the full scale (``lf = 64``) one unit is 268 MB.  These cover the covariances
+on the way into the filter, a warm denoise and a warm SNR sweep.  The
+triple-product records, which a denoise keeps cached between calls, are
+bounded by what they hold after every row has been read.
 """
 
 import math
@@ -11,22 +14,27 @@ import tracemalloc
 import numpy as np
 
 from so3filter import (
+    ExperimentConfig,
     NoiseModel,
     PolarCap,
     SpectralCovariance,
     SphericalCoeffs,
+    benchmark,
     build_signal_covariance,
     calibrate_snr,
     denoise,
     make_test_signal,
     slepian_window,
     synth_noise,
+    triple_product_rows,
 )
+from so3filter import coupling
 from so3filter.io import read_covariance, write_covariance
 
 from helpers import random_psd
 
 LF = 16
+LH = 8
 
 
 def _peak_in_matrices(fn) -> float:
@@ -66,3 +74,28 @@ def test_read_covariance_streams_the_file(tmp_path):
     write_covariance(path, NoiseModel.random(LF, 3).covariance())
     assert _peak_in_matrices(lambda: read_covariance(path)) <= 3.0
     assert np.array_equal(read_covariance(path).matrix, NoiseModel.random(LF, 3).covariance().matrix)
+
+
+def test_desk_records_hold_each_value_once():
+    # every desk row, read in the order a denoise reads them, from a cold cache
+    tracemalloc.start()
+    try:
+        coupling._pair_record.cache_clear()
+        for u in range((LF + LH - 1) ** 2):
+            for p in range(LH):
+                for q in range(-p, p + 1):
+                    triple_product_rows(p, q, u, LF)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert coupling._pair_record.cache_info().currsize == (LF + LH - 1) * LH
+    assert held <= 1.75 * 2**20
+
+
+def test_warm_desk_sweep_releases_the_mixing_matrix():
+    cap = PolarCap(math.radians(15.0))
+    s = make_test_signal(LF, 1)
+    h = slepian_window(cap, LH).window()
+    cfg = ExperimentConfig(LF, LH, cap, (0.0,), 1, 5)
+    benchmark(cfg, s, h)  # fill the triple-product cache
+    assert _peak_in_matrices(lambda: benchmark(cfg, s, h)) <= 6.0
