@@ -16,12 +16,7 @@ from .coupling import (
     wigner3j_family,
 )
 from .dslsht import DslshtRep, forward_dslsht
-from .estimator import (
-    RecoveryMatrix,
-    estimate,
-    estimate_from_representation,
-    recovery_matrix,
-)
+from .estimator import estimate_from_representation
 from .filtering import (
     FilterDiagnostics,
     JointFilter,
@@ -73,7 +68,6 @@ __all__ = [
     "JointFilter",
     "NoiseModel",
     "PolarCap",
-    "RecoveryMatrix",
     "SlepianResult",
     "SpectralCovariance",
     "SphereGrid",
@@ -88,7 +82,6 @@ __all__ = [
     "denoise",
     "denoise_with_diagnostics",
     "design_filter",
-    "estimate",
     "estimate_from_representation",
     "eval_ylm",
     "flat_index",
@@ -99,7 +92,6 @@ __all__ = [
     "nonzero_n_range",
     "normal_matrix",
     "normal_rhs",
-    "recovery_matrix",
     "render_map",
     "slepian_window",
     "snr",

@@ -32,6 +32,8 @@ logger = logging.getLogger("so3filter")
 
 DESK_PRESET = {"lf": 16, "lh": 8, "region": "cap:15"}
 FULL_PRESET = {"lf": 64, "lh": 20, "region": "ellipse:15,16"}
+# Benchmark settings a config file may give; each is also a flag of that name.
+CONFIG_KEYS = ("lf", "lh", "region", "snr_db", "realizations", "seed", "signal", "window", "out_dir")
 
 
 def parse_region(text: str) -> Region:
@@ -49,7 +51,11 @@ def parse_region(text: str) -> Region:
 
 
 def read_config(path) -> dict:
-    """Plain ``key=value`` config file; blank lines and ``#`` comments ignored."""
+    """Plain ``key=value`` config file; blank lines and ``#`` comments ignored.
+
+    Every key must be one of ``CONFIG_KEYS``, so a misspelt one is an error
+    rather than a silently kept default.
+    """
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -57,8 +63,10 @@ def read_config(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: bad config line {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r} (known: {', '.join(CONFIG_KEYS)})")
+        values[key] = val
     return values
 
 
@@ -148,7 +156,12 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _benchmark_config(args) -> ExperimentConfig:
+def _benchmark_config(args) -> tuple[ExperimentConfig, dict]:
+    """The sweep's config and the merged settings it was built from.
+
+    Presets, then the config file, then flags; the CLI alone reads the
+    ``signal``, ``window`` and ``out_dir`` settings.
+    """
     preset = FULL_PRESET if args.preset == "full" else DESK_PRESET
     values = dict(preset)
     values.update(
@@ -156,21 +169,11 @@ def _benchmark_config(args) -> ExperimentConfig:
     )
     if args.config:
         values.update(read_config(args.config))
-    overrides = {
-        "lf": args.lf,
-        "lh": args.lh,
-        "region": args.region,
-        "snr_db": args.snr_db,
-        "realizations": args.realizations,
-        "seed": args.seed,
-        "signal": args.signal,
-        "window": args.window,
-        "out_dir": args.out_dir,
-    }
-    for key, val in overrides.items():
+    for key in CONFIG_KEYS:
+        val = getattr(args, key)
         if val is not None:
             values[key] = str(val)
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         lf=_parse("lf", int, values["lf"]),
         lh=_parse("lh", int, values["lh"]),
         region=_parse("region", parse_region, values["region"]),
@@ -179,30 +182,28 @@ def _benchmark_config(args) -> ExperimentConfig:
         ),
         realizations=_parse("realizations", int, values["realizations"]),
         seed=_parse("seed", int, values["seed"]),
-        signal_path=values.get("signal") or None,
-        window_path=values.get("window") or None,
-        output_dir=values.get("out_dir", "."),
     )
+    return cfg, values
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _benchmark_config(args)
+    cfg, values = _benchmark_config(args)
     if args.preset == "full":
         logger.warning(
             "full-scale preset (lf=%d, lh=%d): expect about 5 minutes per denoise "
             "and 1.45 GB of RAM (one measured run on a 2-core x86_64 machine)",
             cfg.lf, cfg.lh,
         )
-    if cfg.signal_path:
-        s = sfio.read_coeffs(cfg.signal_path)
+    if values.get("signal"):
+        s = sfio.read_coeffs(values["signal"])
     else:
         s = make_test_signal(cfg.lf, cfg.seed)
-    if cfg.window_path:
-        h = sfio.read_coeffs(cfg.window_path)
+    if values.get("window"):
+        h = sfio.read_coeffs(values["window"])
     else:
         h = slepian_window(cfg.region, cfg.lh).window()
     result = benchmark(cfg, s, h)
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(values["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"

@@ -21,23 +21,16 @@ component enters, and ``sum_n`` runs over the triple-product rows:
 A filtered component ``zeta(.; u) g(.; u)`` is rank one in ``q'`` like
 ``g(.; u)``, so its ``nh`` is ``(zeta tau)[p, q] * sum_q' |(h)_p^{q'}|^2``
 (see :mod:`.dslsht`) and no cube is formed.  The streaming denoise and the
-materialised representation feed the same accumulation.  Folding the filter
-into this formula gives a single recovery matrix mapping observation
-coefficients straight to the estimate, worth materialising when one filter
-serves many observations.
+materialised representation feed the same accumulation.
 """
 
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coupling import triple_product_block
 from .dslsht import DslshtRep, component_rows, scatter_sum, window_blocks
-from .filtering import JointFilter
 from .sphere import SphericalCoeffs
 
 
@@ -79,57 +72,3 @@ def estimate_from_representation(
     hb_conj = np.conj(window_blocks(h))[:, :, None]
     contractions = ((cube @ hb_conj)[..., 0] for cube in rep.data)
     return estimate_from_components(contractions, h, rep.lf)
-
-
-@dataclass(frozen=True)
-class RecoveryMatrix:
-    """End-to-end linear map from observation coefficients to the estimate."""
-
-    bandlimit: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.bandlimit**2
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.shape != (n, n):
-            raise ValueError(f"expected a {n} x {n} matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("recovery matrix has non-finite entries")
-        object.__setattr__(self, "matrix", mat)
-
-
-def recovery_matrix(
-    filt: JointFilter, h: SphericalCoeffs, lf: int
-) -> RecoveryMatrix:
-    """Materialise the filter-then-recover map on the coefficient space.
-
-    Entry ``(n, n')`` equals
-    ``4 pi / <h,h> * sum_{u,p} (sum_{q'} |(h)_p^{q'}|^2) / (2p+1)
-    * sum_{q,k} (zeta(.;u))^p_{q,k} T(n; p, q; u) T(n'; p, k; u)``.
-    """
-    if h.bandlimit != filt.lh:
-        raise ValueError("window bandlimit does not match the filter")
-    if lf + filt.lh - 1 != filt.lg:
-        raise ValueError("filter was designed for a different signal bandlimit")
-    hh = float(np.sum(np.abs(h.data) ** 2))
-    if hh == 0.0:
-        raise ValueError("window must be nonzero")
-    hb = window_blocks(h)
-    hpow = np.sum(np.abs(hb) ** 2, axis=1)   # per-degree window power
-    out = np.zeros((lf * lf, lf * lf), dtype=np.complex128)
-    for u in range(filt.lg**2):
-        for p in range(filt.lh):
-            nn, X = triple_product_block(p, u, lf)
-            if nn.size == 0:
-                continue
-            scale = (4.0 * math.pi / hh) * hpow[p] / (2 * p + 1)
-            local = X @ filt.block(u, p) @ X.T
-            out[np.ix_(nn, nn)] += scale * local
-    return RecoveryMatrix(lf, out)
-
-
-def estimate(rec: RecoveryMatrix, f: SphericalCoeffs) -> SphericalCoeffs:
-    """Apply the recovery map to observation coefficients."""
-    if f.bandlimit != rec.bandlimit:
-        raise ValueError("coefficient bandlimit does not match the matrix")
-    return SphericalCoeffs(rec.bandlimit, rec.matrix @ f.data)

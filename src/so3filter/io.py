@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -88,15 +89,20 @@ def write_covariance(path, cov: SpectralCovariance) -> None:
             fh.write("\n")
 
 
-def _covariance_rows(path, body, n: int) -> np.ndarray:
+def _covariance_rows(path, body, n: int, size: int) -> np.ndarray:
     """The ``n x n`` matrix of a covariance file body, parsed one row at a time.
 
     Rows go straight into the matrix; the file's text is never held whole.
     A wrong row count is reported before any malformed row, as it would be
-    if the rows were counted first.
+    if the rows were counted first.  ``n`` rows of ``2n`` values take at
+    least ``4 n^2 - 1`` bytes, so a file of ``size`` bytes below that cannot
+    hold the matrix: its rows are checked without allocating one.
     """
-    mat = np.empty((n, n), dtype=np.complex128)
-    pairs = mat.view(np.float64)  # row i holds re, im pairs, as the file does
+    if size >= 4 * n * n - 1:
+        mat = np.empty((n, n), dtype=np.complex128)
+        pairs = mat.view(np.float64)  # row i holds re, im pairs, as the file does
+    else:
+        mat = pairs = None
     found = 0
     bad = None  # the first malformed row's error, raised once the count is right
     for num, ln in body:
@@ -112,7 +118,7 @@ def _covariance_rows(path, body, n: int) -> np.ndarray:
             bad = f"line {num}: covariance row {i} has {vals.size} values, expected {2 * n}"
         elif not np.isfinite(vals).all():
             bad = f"line {num}: covariance row {i} has non-finite entries"
-        else:
+        elif pairs is not None:
             pairs[i] = vals
     if found != n:
         raise ValueError(f"{path}: expected {n} covariance rows, found {found}")
@@ -124,7 +130,8 @@ def _covariance_rows(path, body, n: int) -> np.ndarray:
 def read_covariance(path) -> SpectralCovariance:
     with open(path) as fh:
         L = _header_bandlimit(path, fh.readline(), "cov", "covariance")
-        cov = SpectralCovariance(L, _covariance_rows(path, _body(fh), L * L))
+        size = os.fstat(fh.fileno()).st_size
+        cov = SpectralCovariance(L, _covariance_rows(path, _body(fh), L * L, size))
     w = np.linalg.eigvalsh(cov.matrix)
     if w[0] < -PSD_TOL * np.abs(w).max():
         raise ValueError(f"{path}: covariance is not positive semidefinite (min eigenvalue {w[0]:.3g})")

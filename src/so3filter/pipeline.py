@@ -215,9 +215,6 @@ class ExperimentConfig:
     snr_targets_db: tuple
     realizations: int
     seed: int
-    signal_path: str | None = None
-    window_path: str | None = None
-    output_dir: str = "."
 
     def __post_init__(self):
         if self.realizations < 1:

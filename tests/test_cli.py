@@ -207,6 +207,7 @@ def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
         (["slepian", "--region", "cap:15", "--lh", "0"], ["--lh", "0"]),
         (["benchmark", "--region", "cap:abc"], ["region", "cap:abc"]),
         (["benchmark", "--config", "{cfg}"], ["region", "cap:abc"]),
+        (["benchmark", "--config", "{typo}"], ["{typo}", "unknown config key 'realisations'"]),
         (["benchmark", "--snr-db", "0,x"], ["snr_db", "'x'"]),
         (["benchmark", "--realizations", "0"], ["realization"]),
         (["benchmark", "--lf", "0"], ["bandlimit"]),
@@ -219,7 +220,7 @@ def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
         (["synth-noise", "--lf", "2", "--mixing-seed", "-1"], ["--mixing-seed", "-1"]),
         (["benchmark", "--seed", "-1"], ["seed", "-1"]),
     ],
-    ids=["slepian-region", "slepian-lh", "benchmark-region", "config-region",
+    ids=["slepian-region", "slepian-lh", "benchmark-region", "config-region", "config-unknown-key",
          "benchmark-snr-db", "benchmark-realizations", "benchmark-lf",
          "benchmark-snr-db-range", "synth-noise-lf-negative", "synth-noise-lf-zero",
          "synth-noise-scale-nan", "synth-noise-scale-negative", "synth-noise-seed",
@@ -228,8 +229,10 @@ def test_malformed_number_exits_with_one_line(tmp_path, command, bad, text):
 def test_bad_argument_exits_with_one_line(tmp_path, args, names):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("lf=4\nlh=2\nregion=cap:abc\n")
+    typo = tmp_path / "typo.cfg"  # a misspelt key must not fall back to a default
+    typo.write_text("lf=4\nlh=2\nregion=cap:40\nsnr_db=5\nrealisations=1\nseed=7\n")
     out = tmp_path / "out"
-    args = [a.format(cfg=cfg) for a in args]
+    args = [a.format(cfg=cfg, typo=typo) for a in args]
     if args[0] == "synth-noise":
         args += ([] if "--seed" in args else ["--seed", "1"]) + ["--out", str(out)]
     else:
@@ -239,7 +242,7 @@ def test_bad_argument_exits_with_one_line(tmp_path, args, names):
     message = exc.value.code
     assert isinstance(message, str) and "\n" not in message
     for name in names:
-        assert name in message
+        assert name.format(typo=typo) in message
     assert not out.exists()
 
 
@@ -274,6 +277,22 @@ def test_rejected_input_exits_with_one_line(tmp_path, args, names):
     for name in names:
         assert name.format(**paths) in message
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s", "zero"]
+
+
+def test_denoise_rejects_covariance_header_larger_than_its_file(tmp_path):
+    from so3filter.io import write_coeffs
+
+    s = make_test_signal(2, 5)
+    for name in ("s", "f", "h"):
+        write_coeffs(tmp_path / f"{name}.slm", s)
+    cov = tmp_path / "big.cov"
+    cov.write_text("cov v1 L=1000\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--observed", str(tmp_path / "f.slm"), "--window", str(tmp_path / "h.slm"),
+              "--signal-cov", str(cov), "--out", str(tmp_path / "est.slm")])
+    message = exc.value.code
+    assert message == f"{cov}: expected 1000000 covariance rows, found 1"
+    assert not (tmp_path / "est.slm").exists()
 
 
 def test_denoise_requires_covariance_source(tmp_path):

@@ -12,10 +12,8 @@ from so3filter import (
     SpectralCovariance,
     apply_filter,
     design_filter,
-    estimate,
     estimate_from_representation,
     forward_dslsht,
-    recovery_matrix,
 )
 from so3filter.coupling import triple_product_rows
 from so3filter.estimator import accumulate_component
@@ -49,6 +47,24 @@ class TestRepresentationEstimate:
         rel = np.linalg.norm(out.data - d.data) / np.linalg.norm(d.data)
         assert rel < 1e-8
 
+    def test_identity_filter_recovers_the_signal(self):
+        # filtering with the identity then estimating is the identity map
+        from so3filter.filtering import FilterDiagnostics, JointFilter
+
+        lf, lh = 4, 2
+        lg = lf + lh - 1
+        off = lh - 1
+        zeta = np.zeros((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=complex)
+        for p in range(lh):
+            sl = slice(off - p, off + p + 1)
+            zeta[:, p, sl, sl] = np.eye(2 * p + 1)
+        filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
+        h = _unit(random_coeffs(lh, 10))
+        for n in range(lf * lf):
+            basis = SphericalCoeffs.unit(lf, n)
+            out = estimate_from_representation(apply_filter(forward_dslsht(basis, h), filt), h)
+            assert np.abs(out.data - basis.data).max() < 1e-8
+
     def test_monopole_only_signal(self):
         h = random_coeffs(3, 6)
         f = SphericalCoeffs.unit(4, 0)
@@ -63,76 +79,6 @@ class TestRepresentationEstimate:
         a = estimate_from_representation(forward_dslsht(d, h), h)
         b = estimate_from_representation(forward_dslsht(d, scaled), scaled)
         assert np.abs(a.data - b.data).max() < 1e-9
-
-
-class TestRecoveryMatrix:
-    def test_zero_filter(self):
-        h = _unit(random_coeffs(2, 9))
-        filt = design_filter(SpectralCovariance.zeros(4), SpectralCovariance.zeros(4), 2)
-        rec = recovery_matrix(filt, h, 4)
-        assert np.all(rec.matrix == 0)
-
-    def test_identity_filter_gives_identity(self):
-        from so3filter.filtering import FilterDiagnostics, JointFilter
-
-        lf, lh = 4, 2
-        lg = lf + lh - 1
-        off = lh - 1
-        zeta = np.zeros((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=complex)
-        for p in range(lh):
-            sl = slice(off - p, off + p + 1)
-            zeta[:, p, sl, sl] = np.eye(2 * p + 1)
-        filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
-        h = _unit(random_coeffs(lh, 10))
-        rec = recovery_matrix(filt, h, lf)
-        assert np.abs(rec.matrix - np.eye(lf * lf)).max() < 1e-8
-
-    def test_columns_match_composition_oracle(self):
-        lf, lh = 4, 2
-        cs = SpectralCovariance(lf, random_psd(lf * lf, 11))
-        cz = SpectralCovariance(lf, random_psd(lf * lf, 12))
-        filt = design_filter(cs, cz, lh)
-        h = _unit(random_coeffs(lh, 13))
-        rec = recovery_matrix(filt, h, lf)
-        for n in range(lf * lf):
-            basis = SphericalCoeffs.unit(lf, n)
-            composed = estimate_from_representation(
-                apply_filter(forward_dslsht(basis, h), filt), h
-            )
-            assert np.abs(rec.matrix[:, n] - composed.data).max() < 1e-10
-
-    def test_estimate_is_matrix_vector_product(self):
-        lf, lh = 4, 2
-        cs = SpectralCovariance(lf, random_psd(lf * lf, 14))
-        cz = SpectralCovariance(lf, random_psd(lf * lf, 15))
-        filt = design_filter(cs, cz, lh)
-        h = _unit(random_coeffs(lh, 16))
-        rec = recovery_matrix(filt, h, lf)
-        f = random_coeffs(lf, 17)
-        via_matrix = estimate(rec, f)
-        via_pipeline = estimate_from_representation(
-            apply_filter(forward_dslsht(f, h), filt), h
-        )
-        assert np.abs(via_matrix.data - via_pipeline.data).max() < 1e-10
-
-    def test_estimate_linear(self):
-        rec_mat = np.eye(16) * (0.5 + 0.1j)
-        from so3filter import RecoveryMatrix
-
-        rec = RecoveryMatrix(4, rec_mat)
-        f1 = random_coeffs(4, 18)
-        f2 = random_coeffs(4, 19)
-        combo = SphericalCoeffs(4, 2.0 * f1.data - 1j * f2.data)
-        out = estimate(rec, combo)
-        expected = 2.0 * estimate(rec, f1).data - 1j * estimate(rec, f2).data
-        assert np.abs(out.data - expected).max() < 1e-13
-
-    def test_dimension_mismatch_rejected(self):
-        from so3filter import RecoveryMatrix
-
-        rec = RecoveryMatrix(4, np.eye(16, dtype=complex))
-        with pytest.raises(ValueError):
-            estimate(rec, random_coeffs(3, 20))
 
 
 class TestAccumulate:

@@ -1,6 +1,7 @@
 """File formats: headers, round-trips, rejection of malformed input."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,31 @@ class TestCovarianceFiles:
         with pytest.raises(ValueError) as exc:
             read_covariance(path)
         assert str(exc.value) == f"{path}: expected 1 covariance rows, found 3"
+
+    @pytest.mark.parametrize("row", ["1 0", "1 abc"])
+    def test_oversized_header_is_rejected_without_allocating(self, tmp_path, row):
+        # L = 1000 would need a 14.6 TiB matrix; the file holds one short row
+        path = tmp_path / "bad.cov"
+        path.write_text(f"cov v1 L=1000\n{row}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                read_covariance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{path}: expected 1000000 covariance rows, found 1"
+        assert peak < 2**20
+
+    def test_shortest_valid_file_is_read(self, tmp_path):
+        # one-character values, single separators, no final newline: the
+        # 4 n^2 - 1 body bytes that the size check takes as its floor
+        L, n = 2, 4
+        path = tmp_path / "c.cov"
+        rows = [" ".join("1" if k == 2 * i else "0" for k in range(2 * n)) for i in range(n)]
+        path.write_text(f"cov v1 L={L}\n" + "\n".join(rows))
+        assert path.stat().st_size == len(f"cov v1 L={L}\n") + 4 * n * n - 1
+        np.testing.assert_array_equal(read_covariance(path).matrix, np.eye(n))
 
     def test_rejects_row_width_mismatch(self, tmp_path):
         path = tmp_path / "bad.cov"
