@@ -3,18 +3,12 @@
 The package analyses a noisy sphere signal with a directional spatially
 localized spherical harmonic transform, applies the spectral-covariance MMSE
 filter in the joint domain, and recovers a least-squares estimate of the
-source signal.  Slepian concentration windows, exact-quadrature spherical
-harmonic transforms and Wigner-3j coupling machinery are included, along
-with a benchmark harness and CLI.
+source signal.  Slepian concentration windows, pointwise spherical-harmonic
+synthesis and the Wigner-3j triple-product rows are included, along with an
+SNR benchmark sweep and CLI.
 """
 
-from .coupling import (
-    nonzero_n_range,
-    triple_product,
-    triple_product_rows,
-    wigner3j,
-    wigner3j_family,
-)
+from .coupling import triple_product_rows
 from .dslsht import DslshtRep, forward_dslsht
 from .estimator import estimate_from_representation
 from .filtering import (
@@ -23,8 +17,6 @@ from .filtering import (
     SpectralCovariance,
     apply_filter,
     design_filter,
-    normal_matrix,
-    normal_rhs,
 )
 from .pipeline import (
     BenchmarkResult,
@@ -47,16 +39,7 @@ from .slepian import (
     concentration_kernel,
     slepian_window,
 )
-from .sphere import (
-    SphereGrid,
-    SphericalCoeffs,
-    degree_and_order,
-    eval_ylm,
-    flat_index,
-    forward_sht,
-    inverse_sht,
-    synthesize,
-)
+from .sphere import SphericalCoeffs, synthesize
 
 __version__ = "0.1.0"
 
@@ -70,7 +53,6 @@ __all__ = [
     "PolarCap",
     "SlepianResult",
     "SpectralCovariance",
-    "SphereGrid",
     "SphericalCoeffs",
     "SphericalEllipse",
     "apply_filter",
@@ -78,27 +60,16 @@ __all__ = [
     "build_signal_covariance",
     "calibrate_snr",
     "concentration_kernel",
-    "degree_and_order",
     "denoise",
     "denoise_with_diagnostics",
     "design_filter",
     "estimate_from_representation",
-    "eval_ylm",
-    "flat_index",
     "forward_dslsht",
-    "forward_sht",
-    "inverse_sht",
     "make_test_signal",
-    "nonzero_n_range",
-    "normal_matrix",
-    "normal_rhs",
     "render_map",
     "slepian_window",
     "snr",
     "synth_noise",
     "synthesize",
-    "triple_product",
     "triple_product_rows",
-    "wigner3j",
-    "wigner3j_family",
 ]

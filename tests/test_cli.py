@@ -291,7 +291,30 @@ def test_denoise_rejects_covariance_header_larger_than_its_file(tmp_path):
         main(["denoise", "--observed", str(tmp_path / "f.slm"), "--window", str(tmp_path / "h.slm"),
               "--signal-cov", str(cov), "--out", str(tmp_path / "est.slm")])
     message = exc.value.code
-    assert message == f"{cov}: expected 1000000 covariance rows, found 1"
+    assert message == f"--signal-cov {cov} has bandlimit 1000, but --observed {tmp_path / 'f.slm'} has 2"
+    assert not (tmp_path / "est.slm").exists()
+
+
+@pytest.mark.parametrize("flag", ["--signal-cov", "--noise-cov"])
+def test_denoise_checks_covariance_bandlimits_before_reading_rows(tmp_path, flag):
+    # Both bodies are malformed; the headers alone must settle the mismatch,
+    # even when the other file's header matches and it is read first.
+    from so3filter.io import write_coeffs
+
+    write_coeffs(tmp_path / "f.slm", make_test_signal(4, 1))
+    write_coeffs(tmp_path / "h.slm", make_test_signal(2, 2))
+    (tmp_path / "good.cov").write_text("cov v1 L=4\n1 abc\n")
+    (tmp_path / "bad.cov").write_text("cov v1 L=3\n1 abc\n")
+    covs = {"--signal-cov": "good.cov", "--noise-cov": "good.cov", flag: "bad.cov"}
+    args = ["denoise", "--observed", str(tmp_path / "f.slm"), "--window", str(tmp_path / "h.slm"),
+            "--out", str(tmp_path / "est.slm")]
+    for name, file in covs.items():
+        args += [name, str(tmp_path / file)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == (
+        f"{flag} {tmp_path / 'bad.cov'} has bandlimit 3, but --observed {tmp_path / 'f.slm'} has 4"
+    )
     assert not (tmp_path / "est.slm").exists()
 
 

@@ -5,19 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from so3filter import (
-    SphereGrid,
-    SphericalCoeffs,
-    degree_and_order,
-    flat_index,
-    forward_dslsht,
-    inverse_sht,
-    triple_product,
-)
-
+from so3filter import SphericalCoeffs, forward_dslsht
 from so3filter.coupling import triple_product_rows
 from so3filter.dslsht import forward_component, window_blocks
 
+from coupling_reference import triple_product
 from helpers import random_coeffs
 from so3_reference import (
     Rotation,
@@ -28,6 +20,7 @@ from so3_reference import (
     so3_synthesize,
     wigner_D,
 )
+from sphere_reference import SphereGrid, degree_and_order, flat_index, inverse_sht
 
 
 def unit_window(lh=1):

@@ -19,6 +19,7 @@ from so3filter.coupling import triple_product_rows
 from so3filter.estimator import accumulate_component
 
 from helpers import random_coeffs, random_psd
+from sphere_reference import unit_coeffs
 
 
 def _unit(h):
@@ -61,13 +62,13 @@ class TestRepresentationEstimate:
         filt = JointFilter(lh, lg, zeta, FilterDiagnostics.zeros(lg, lh))
         h = _unit(random_coeffs(lh, 10))
         for n in range(lf * lf):
-            basis = SphericalCoeffs.unit(lf, n)
+            basis = unit_coeffs(lf, n)
             out = estimate_from_representation(apply_filter(forward_dslsht(basis, h), filt), h)
             assert np.abs(out.data - basis.data).max() < 1e-8
 
     def test_monopole_only_signal(self):
         h = random_coeffs(3, 6)
-        f = SphericalCoeffs.unit(4, 0)
+        f = unit_coeffs(4, 0)
         out = estimate_from_representation(forward_dslsht(f, h), h)
         assert out.data[0] == pytest.approx(1.0, abs=1e-10)
         assert np.abs(out.data[1:]).max() < 1e-10

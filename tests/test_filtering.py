@@ -10,14 +10,11 @@ from so3filter import (
     apply_filter,
     design_filter,
     forward_dslsht,
-    normal_matrix,
-    normal_rhs,
-    nonzero_n_range,
-    triple_product,
 )
 from so3filter.coupling import triple_product_block
 from so3filter.filtering import _gram_pair, _stacked_pair
 
+from coupling_reference import nonzero_n_range, normal_matrix, normal_rhs, triple_product
 from helpers import random_coeffs, random_psd
 
 

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import so3filter
 
-# Rotation-group reference code; the tests import it from ``so3_reference``.
+# Reference code the tests import from ``so3_reference`` (the rotation
+# group), ``sphere_reference`` (grid transforms and the flat index) and
+# ``coupling_reference`` (scalar 3j symbols, triple products and full-size
+# normal equations).  ``SphericalCoeffs.unit`` is ``sphere_reference.unit_coeffs``.
 REFERENCE_ONLY = (
     "Rotation",
     "WignerCoeffs",
@@ -20,7 +23,24 @@ REFERENCE_ONLY = (
     "wigner_D",
     "wigner_d_matrix",
     "wigner_d_stack",
+    "SphereGrid",
+    "degree_and_order",
+    "eval_ylm",
+    "flat_index",
+    "forward_sht",
+    "inverse_sht",
+    "_single_family",
+    "nonzero_n_range",
+    "triple_product",
+    "wigner3j",
+    "wigner3j_family",
+    "_full_normal",
+    "normal_matrix",
+    "normal_rhs",
 )
+
+# The benchmark's correctness check imports its names from here.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # The materialised filter-then-recover map; the streaming denoise and the
 # representation chain share one recovery kernel instead.
@@ -43,6 +63,7 @@ def test_public_names_resolve_and_exclude_reference_code():
     for module in modules:
         for name in REFERENCE_ONLY:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(so3filter.SphericalCoeffs, "unit")
 
 
 def test_deleted_names_stay_deleted():
@@ -70,3 +91,17 @@ def test_modules_use_every_name_they_import():
     modules = sorted(Path(so3filter.__file__).parent.glob("*.py"))
     unused = {p.name: unused_imports(p) for p in modules if p.name != "__init__.py"}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def test_every_public_name_serves_the_package_or_the_benchmark():
+    # A name only the tests call belongs in a test oracle, not in ``__all__``.
+    modules = Path(so3filter.__file__).parent.glob("*.py")
+    used = set()
+    for path in modules:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text())
+            used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "so3filter":
+            used.update(a.name for a in node.names)
+    assert sorted(set(so3filter.__all__) - used) == []

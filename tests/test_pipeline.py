@@ -32,11 +32,12 @@ from so3filter import (
 from so3filter import coupling
 
 from helpers import random_coeffs, random_psd
+from sphere_reference import unit_coeffs
 
 
 class TestSignalCovariance:
     def test_monopole_source(self):
-        cov = build_signal_covariance(SphericalCoeffs.unit(2, 0))
+        cov = build_signal_covariance(unit_coeffs(2, 0))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.abs(cov.matrix - expected).max() == 0.0
@@ -116,7 +117,7 @@ class TestSnr:
         assert snr(s, s) == math.inf
 
     def test_zero_db_when_error_norm_matches(self):
-        s = SphericalCoeffs.unit(2, 1)
+        s = unit_coeffs(2, 1)
         d = SphericalCoeffs(2, s.data + np.array([1.0, 0, 0, 0], dtype=complex))
         assert snr(d, s) == pytest.approx(0.0)
 
@@ -263,7 +264,7 @@ class TestDenoise:
         filt = design_filter(cs, cz, lh)
         op = np.column_stack([
             estimate_from_representation(
-                apply_filter(forward_dslsht(SphericalCoeffs.unit(lf, n), h), filt), h
+                apply_filter(forward_dslsht(unit_coeffs(lf, n), h), filt), h
             ).data
             for n in range(lf * lf)
         ])

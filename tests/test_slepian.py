@@ -81,7 +81,7 @@ class TestKernel:
 
     def test_cap_kernel_block_diagonal_in_order(self):
         # harmonics of different order are orthogonal over any axisymmetric region
-        from so3filter import degree_and_order
+        from sphere_reference import degree_and_order
 
         K = concentration_kernel(PolarCap(20 * DEG), 6)
         for a in range(36):
@@ -168,7 +168,7 @@ class TestWindow:
 
     def test_window_concentrated_in_region(self):
         # most of the window's energy must sit inside the cap
-        from so3filter import SphereGrid, inverse_sht
+        from sphere_reference import SphereGrid, inverse_sht
 
         cap = PolarCap(30 * DEG)
         res = slepian_window(cap, 8)
