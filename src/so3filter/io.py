@@ -35,10 +35,9 @@ def _header_bandlimit(path, head: str, tag: str, kind: str) -> int:
     fields = head.split()
     if len(fields) != 3 or fields[0] != tag or fields[1] != "v1" or not fields[2].startswith("L="):
         raise ValueError(f"{path}: bad {kind} header {head!r}")
-    try:
-        L = int(fields[2][2:])
-    except ValueError:
-        L = 0
+    digits = fields[2][2:]
+    # int() would also take a sign, underscores and non-ASCII digits
+    L = int(digits) if digits.isascii() and digits.isdigit() else 0
     if L < 1:
         raise ValueError(f"{path}: {kind} header bandlimit {fields[2]!r} is not a positive integer")
     return L

@@ -34,8 +34,6 @@ import numpy as np
 
 from .sphere import SphericalCoeffs, _lm_index, _ylm_table
 
-_AREA_N_PHI = 4096  # longitudes of the ellipse area rule
-
 
 @dataclass(frozen=True)
 class PolarCap:
@@ -75,8 +73,8 @@ class SphericalEllipse:
     semi_major: float
 
     def __post_init__(self):
-        if not 0.0 < self.focus_colatitude <= self.semi_major:
-            raise ValueError("need 0 < focus colatitude <= semi-major radius")
+        if not 0.0 < self.focus_colatitude < self.semi_major:
+            raise ValueError("need 0 < focus colatitude < semi-major radius")
         if not self.semi_major < 0.5 * math.pi:
             raise ValueError("semi-major radius must be below pi/2")
 
@@ -94,23 +92,20 @@ class SphericalEllipse:
         return bool(out) if out.ndim == 0 else out
 
     def boundary_colatitude(self, phi) -> np.ndarray:
-        """Colatitude of the boundary along each meridian, by bisection."""
-        phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-        lo = np.zeros_like(phi)
-        hi = np.full_like(
-            phi, min(self.semi_major + self.focus_colatitude + 1e-6, math.pi)
-        )
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            inside = self._distance_sum(mid, phi) <= 2.0 * self.semi_major
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return 0.5 * (lo + hi)
+        """Colatitude of the boundary along each meridian, in closed form.
 
-    def area(self) -> float:
-        phis = 2.0 * math.pi * np.arange(_AREA_N_PHI) / _AREA_N_PHI
-        r = self.boundary_colatitude(phis)
-        return float(np.mean(1.0 - np.cos(r)) * 2.0 * math.pi)
+        On the boundary ``d1 + d2 = 2a``, so ``cos d1 + cos d2`` and
+        ``cos d1 - cos d2`` give ``cos((d1 - d2) / 2)`` and its sine; their
+        squares sum to one, which solves to
+        ``tan r = tan a sqrt(S / (S + sin^2 c sin^2 phi))`` with ``a`` the
+        semi-major radius, ``c`` the focus colatitude and
+        ``S = sin^2 a - sin^2 c``.  ``S`` is formed as ``sin(a - c) sin(a + c)``,
+        which does not cancel as ``c`` approaches ``a``.
+        """
+        phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
+        a, c = self.semi_major, self.focus_colatitude
+        s = math.sin(a - c) * math.sin(a + c)
+        return np.arctan(math.tan(a) * np.sqrt(s / (s + (math.sin(c) * np.sin(phi)) ** 2)))
 
 
 Region = Union[PolarCap, SphericalEllipse]

@@ -29,6 +29,11 @@ def test_parse_region_rejects_garbage():
         parse_region("disk:3")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_region("cap:abc")
+    # a zero-area ellipse fails in SphericalEllipse with a one-line ValueError
+    with pytest.raises(argparse.ArgumentTypeError, match="focus colatitude < semi-major") as exc:
+        parse_region("ellipse:15,15")
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert "\n" not in str(exc.value)
 
 
 def test_read_config(tmp_path):

@@ -22,7 +22,7 @@ from so3filter.io import (
 from helpers import random_coeffs, random_psd
 
 
-@pytest.mark.parametrize("bandlimit", ["x", "0", "-2"])
+@pytest.mark.parametrize("bandlimit", ["x", "0", "-2", "+4", "1_6", "\u0664"])
 @pytest.mark.parametrize("tag", ["slm", "cov"])
 def test_rejects_bad_header_bandlimit(tmp_path, tag, bandlimit):
     path = tmp_path / f"bad.{tag}"

@@ -45,6 +45,32 @@ class TestRegions:
         with pytest.raises(ValueError):
             SphericalEllipse(0.2, 1.7)
 
+    def test_ellipse_rejects_zero_area(self):
+        # focus == semi-major is a segment of zero area, not a region
+        with pytest.raises(ValueError, match="focus colatitude < semi-major") as exc:
+            SphericalEllipse(0.2, 0.2)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "focus_deg, semi_deg",
+        [(15, 16), (1, 20), (10, 40), (30, 31), (0.001, 5), (44, 89)],
+    )
+    def test_ellipse_boundary_solves_focal_sum(self, focus_deg, semi_deg):
+        ell = SphericalEllipse(focus_deg * DEG, semi_deg * DEG)
+        phis = 2 * math.pi * np.arange(4097) / 4097
+        r = ell.boundary_colatitude(phis)
+        assert np.abs(ell._distance_sum(r, phis) - 2 * ell.semi_major).max() < 1e-13
+
+    @pytest.mark.parametrize("semi_deg", [1, 16, 45, 80])
+    def test_thin_ellipse_boundary(self, semi_deg):
+        # a - c = 1e-7: the major axis ends at a, and the semi-minor b obeys
+        # the spherical Pythagoras relation cos a = cos b cos c
+        a = semi_deg * DEG
+        ell = SphericalEllipse(a - 1e-7, a)
+        r0, b = ell.boundary_colatitude([0.0, 0.5 * math.pi])
+        assert abs(r0 - a) < 1e-14
+        assert abs(math.cos(a) - math.cos(b) * math.cos(ell.focus_colatitude)) < 1e-14
+
     def test_ellipse_boundary_consistent_with_membership(self):
         ell = SphericalEllipse(10 * DEG, 14 * DEG)
         phis = np.linspace(0, 2 * math.pi, 17)
@@ -73,6 +99,18 @@ class TestKernel:
         K = concentration_kernel(cap, 8)
         target = 64 * cap.area() / (4 * math.pi)
         assert abs(np.trace(K).real - target) < 1e-3 * target
+
+    @pytest.mark.parametrize("focus_deg, semi_deg", [(15, 16), (10, 40), (1, 20)])
+    def test_ellipse_trace_matches_area(self, focus_deg, semi_deg):
+        # trace K = L^2 A / (4 pi), with the area from the boundary's
+        # spectrally convergent longitude rule A = 2 pi mean(1 - cos r)
+        ell = SphericalEllipse(focus_deg * DEG, semi_deg * DEG)
+        r = ell.boundary_colatitude(2 * math.pi * np.arange(4096) / 4096)
+        area = 2 * math.pi * np.mean(1 - np.cos(r))
+        for L in (4, 8, 12):
+            target = L * L * area / (4 * math.pi)
+            trace = np.trace(concentration_kernel(ell, L)).real
+            assert abs(trace - target) <= 1e-12 * target
 
     def test_positive_semidefinite(self):
         K = concentration_kernel(PolarCap(25 * DEG), 6)
