@@ -193,7 +193,7 @@ def _cmd_benchmark(args) -> int:
     if args.preset == "full":
         logger.warning(
             "full-scale preset (lf=%d, lh=%d): expect about 5 minutes per denoise "
-            "and 1,188 MB of RAM (one measured run on a 2-core x86_64 machine)",
+            "and 1,100 MB of RAM (measured runs on a 2-core x86_64 machine)",
             cfg.lf, cfg.lh,
         )
     if values.get("signal"):

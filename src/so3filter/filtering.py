@@ -12,13 +12,15 @@ With ``X[n, k] = T(n; p, k; u)`` (real) both are transposed Gram matrices:
 Hermitian positive semidefinite.  The Gram is formed only on the block's
 *core*: rows of ``X`` that the selection rules leave at zero (the parity
 zeros, about half) are dropped, and so are orders ``k`` whose column is
-structurally empty, since they contribute exact zero rows and columns.  Both
-covariances are gathered in one pass and contracted with the real ``X`` as
-real matrix products on their ``float64`` view.  The core is solved by
-Hermitian eigendecomposition with eigenvalues below ``RCOND`` times the
-largest truncated, which yields the minimum-norm least-squares solution
-whenever the core is rank deficient (those blocks are flagged as truncated);
-orders outside the core get zero coefficients.
+structurally empty, since they contribute exact zero rows and columns.  Each
+block gathers its core straight from ``Cs`` and ``Cz``, one flat ``take``
+from each, so no covariance-sized sum or copy is ever formed; the core pair
+``Cs + Cz``, ``Cs`` is contracted with the real ``X`` as real matrix products
+on its ``float64`` view.  The core is solved by Hermitian eigendecomposition
+with eigenvalues below ``RCOND`` times the largest truncated, which yields
+the minimum-norm least-squares solution whenever the core is rank deficient
+(those blocks are flagged as truncated); orders outside the core get zero
+coefficients.
 """
 
 from __future__ import annotations
@@ -151,13 +153,13 @@ class JointFilter:
         return self.zeta[u, p, off - p : off + p + 1, off - p : off + p + 1]
 
 
-def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
-    """Core normal matrices of block ``(p, u)`` for each stacked covariance.
+def _gram_pair(p: int, u: int, cs: SpectralCovariance, cz: SpectralCovariance, lf: int):
+    """Core normal matrices of block ``(p, u)`` for ``Cs + Cz`` and for ``Cs``.
 
     Returns ``(G, keep)``: ``keep`` marks the orders ``k`` with a nonempty
-    triple-product column, and ``G[s]`` is ``(X^T C_s X)^T`` restricted to
-    them, so ``G[s][k', k]`` is ``A[k', k]`` for ``C_s``.  ``G`` is ``None``
-    when no order is kept.
+    triple-product column, and ``G[0]``, ``G[1]`` are ``(X^T (Cs + Cz) X)^T``
+    and ``(X^T Cs X)^T`` restricted to them, so ``G[s][k', k]`` is ``A[k', k]``
+    for that covariance.  ``G`` is ``None`` when no order is kept.
     """
     nn, X = triple_product_block(p, u, lf)
     rows = X.any(axis=1)  # drop the parity zeros, about half the rows
@@ -168,10 +170,17 @@ def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
     if not keep.all():
         X = X[:, keep]
     m, c = X.shape
-    n = stacked.shape[-1]
-    # S[i, s, j] = stacked[s, nn[i], nn[j]], gathered with one flat take.
-    layers = np.arange(stacked.shape[0]) * (n * n)
-    S = stacked.ravel().take(nn[:, None, None] * n + layers[:, None] + nn)
+    n = cs.matrix.shape[0]
+    # S[i, 0, j] = (Cs + Cz)[nn[i], nn[j]] and S[i, 1, j] = Cs[nn[i], nn[j]],
+    # gathered with one flat take from each matrix.  The sum is formed on the
+    # contiguous gathers; addition commutes, so these are the bits of Cs + Cz.
+    flat = nn[:, None] * n + nn
+    cs_g = cs.matrix.ravel().take(flat)
+    sum_g = cz.matrix.ravel().take(flat)
+    sum_g += cs_g
+    S = np.empty((m, 2, m), dtype=np.complex128)
+    S[:, 0] = sum_g
+    S[:, 1] = cs_g
     # Real GEMMs on the (re, im) interleaved view: T[a, s, j] = (X^T C_s)[a, j],
     # then G[b, a, s] = sum_j X[j, b] T[a, s, j] = (X^T C_s X)[a, b].
     T = X.T @ S.view(np.float64).reshape(m, -1)
@@ -180,31 +189,17 @@ def _gram_pair(p: int, u: int, stacked: np.ndarray, lf: int):
     return G.transpose(2, 0, 1), keep
 
 
-def _stacked_pair(cs: SpectralCovariance, cz: SpectralCovariance) -> np.ndarray:
-    """``[Cs + Cz, Cs]`` in one new C-contiguous array, with no ``Cs + Cz`` temporary.
-
-    Every block gathers from both layers with one flat ``take`` on
-    ``stacked.ravel()``, which is a view because the array is contiguous.
-    """
-    n = cs.matrix.shape[0]
-    stacked = np.empty((2, n, n), dtype=np.complex128)
-    np.add(cs.matrix, cz.matrix, out=stacked[0])
-    stacked[1] = cs.matrix
-    return stacked
-
-
-def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
+def design_block(u: int, p: int, cs: SpectralCovariance, cz: SpectralCovariance, lf: int):
     """Solve every order ``q`` of one ``(p, u)`` block.
 
-    ``stacked`` holds ``[Cs + Cz, Cs]``.  Returns the ``(2p+1, 2p+1)`` zeta
-    block indexed ``[q + p, k + p]`` plus ``(rank, cond, flagged)``.  The
-    solve is minimum-norm on the structurally nonempty core; orders ``q``
-    and ``k`` outside it get zero coefficients.  ``flagged`` means the rank
-    fell short of the core size; an empty block has rank 0 and is not
-    flagged.
+    Returns the ``(2p+1, 2p+1)`` zeta block indexed ``[q + p, k + p]`` plus
+    ``(rank, cond, flagged)``.  The solve is minimum-norm on the structurally
+    nonempty core; orders ``q`` and ``k`` outside it get zero coefficients.
+    ``flagged`` means the rank fell short of the core size; an empty block
+    has rank 0 and is not flagged.
     """
     zeta = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
-    G, keep = _gram_pair(p, u, stacked, lf)
+    G, keep = _gram_pair(p, u, cs, cz, lf)
     if G is None:
         return zeta, 0, math.inf, False
     A, R = G  # column q of R holds b(p, q, u) on the core
@@ -227,19 +222,19 @@ def design_block(u: int, p: int, stacked: np.ndarray, lf: int):
 
 
 def design_component(
-    u: int, stacked: np.ndarray, lf: int, lh: int, diag: FilterDiagnostics
+    u: int, cs: SpectralCovariance, cz: SpectralCovariance, lf: int, lh: int, diag: FilterDiagnostics
 ) -> np.ndarray:
     """Filter cube ``zeta(.; u)``, zero-padded to ``(lh, 2lh-1, 2lh-1)``.
 
-    ``stacked`` holds ``[Cs + Cz, Cs]``.  Row ``u`` of ``diag`` receives the
-    rank, condition and truncation flag of every block.
+    Row ``u`` of ``diag`` receives the rank, condition and truncation flag of
+    every block.
     """
     off = lh - 1
     cube = np.zeros((lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
     for p in range(lh):
         sl = slice(off - p, off + p + 1)
         cube[p, sl, sl], diag.rank[u, p], diag.cond[u, p], diag.pinv_flag[u, p] = (
-            design_block(u, p, stacked, lf)
+            design_block(u, p, cs, cz, lf)
         )
     return cube
 
@@ -248,9 +243,8 @@ def design_filter(cs: SpectralCovariance, cz: SpectralCovariance, lh: int) -> Jo
     """Design the joint-domain MMSE filter from known covariances.
 
     Every ``(p, q, u)`` slot is populated; blocks that needed eigenvalue
-    truncation carry the pseudo-inverse flag.  Beside the inputs, the design
-    holds one stacked pair ``[Cs + Cz, Cs]``: two ``n x n`` arrays, built
-    with no sum temporary.
+    truncation carry the pseudo-inverse flag.  No ``n x n`` array is
+    allocated: each block gathers its core from ``Cs`` and ``Cz`` directly.
     """
     if cs.bandlimit != cz.bandlimit:
         raise ValueError("covariance bandlimits differ")
@@ -258,11 +252,10 @@ def design_filter(cs: SpectralCovariance, cz: SpectralCovariance, lh: int) -> Jo
         raise ValueError("window bandlimit must be positive")
     lf = cs.bandlimit
     lg = lf + lh - 1
-    stacked = _stacked_pair(cs, cz)
     diag = FilterDiagnostics.zeros(lg, lh)
     zeta = np.empty((lg * lg, lh, 2 * lh - 1, 2 * lh - 1), dtype=np.complex128)
     for u in range(lg * lg):
-        zeta[u] = design_component(u, stacked, lf, lh, diag)
+        zeta[u] = design_component(u, cs, cz, lf, lh, diag)
     return JointFilter(lh, lg, zeta, diag)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import coupling
 from .dslsht import forward_component, window_blocks
 from .estimator import estimate_from_components
-from .filtering import FilterDiagnostics, SpectralCovariance, _stacked_pair, design_component
+from .filtering import FilterDiagnostics, SpectralCovariance, design_component
 from .io import write_pgm
 from .slepian import Region
 from .sphere import SphericalCoeffs, _lm_index, synthesize
@@ -159,21 +159,21 @@ def denoise_with_diagnostics(
 ) -> tuple[SphericalCoeffs, FilterDiagnostics]:
     """Streaming denoise that also reports the filter solver diagnostics.
 
-    Beside the inputs, it holds one stacked pair ``[Cs + Cz, Cs]``: two
-    ``n x n`` arrays, built with no sum temporary.  The components stream.
+    Beside ``Cs``, ``Cz`` and the cached triple-product records it holds no
+    ``n x n`` array: each block gathers its core from the two covariances,
+    and the components stream.
     """
     lf = f.bandlimit
     if cs.bandlimit != lf or cz.bandlimit != lf:
         raise ValueError("covariance bandlimits must match the observation")
     lh = h.bandlimit
     lg = lf + lh - 1
-    stacked = _stacked_pair(cs, cz)
     hpow = np.sum(np.abs(window_blocks(h)) ** 2, axis=1)[:, None]  # per-degree window power
     diag = FilterDiagnostics.zeros(lg, lh)
 
     def filtered(u: int) -> np.ndarray:
         """Window contraction ``nh(u)`` of the filtered component ``zeta(u) (tau(u) h)``."""
-        zeta = design_component(u, stacked, lf, lh, diag)
+        zeta = design_component(u, cs, cz, lf, lh, diag)
         return (zeta @ forward_component(u, f, lh)[..., None])[..., 0] * hpow
 
     est = estimate_from_components(map(filtered, range(lg * lg)), h, lf)
@@ -261,8 +261,9 @@ def benchmark(
     One mixing matrix is drawn from the master seed; realisation ``r`` draws
     its noise from ``seed + r`` (1-based) once, before the first denoise, and
     is shared across targets, with the amplitude recalibrated per target.
-    The noise model and its mixing matrix are released before the sweep.
-    Fully deterministic in the seed.
+    The noise model and its mixing matrix are released before the sweep, and
+    each denoise's ``Cz`` before the next one is built.  Fully deterministic
+    in the seed.
     """
     if s.bandlimit != cfg.lf or h.bandlimit != cfg.lh:
         raise ValueError("signal or window bandlimit does not match the config")
@@ -280,6 +281,7 @@ def benchmark(
             cz = SpectralCovariance(cfg.lf, alpha**2 * base_cov)
             f = SphericalCoeffs(cfg.lf, s.data + z.data)
             est = denoise(f, cs, cz, h)
+            del cz  # released before the next target's Cz is built
             snr_in = snr(f, s)
             snr_out = snr(est, s)
             rows.append((float(target), r, snr_in, snr_out))

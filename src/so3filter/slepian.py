@@ -77,6 +77,9 @@ class SphericalEllipse:
             raise ValueError("need 0 < focus colatitude < semi-major radius")
         if not self.semi_major < 0.5 * math.pi:
             raise ValueError("semi-major radius must be below pi/2")
+        a, c = self.semi_major, self.focus_colatitude
+        if math.sin(a - c) * math.sin(a + c) == 0.0:
+            raise ValueError("ellipse is too small: sin(a - c) sin(a + c) underflows to 0")
 
     def _distance_sum(self, theta, phi):
         theta = np.asarray(theta, dtype=np.float64)

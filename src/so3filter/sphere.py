@@ -56,6 +56,8 @@ class SphericalCoeffs:
 
     def degree_slice(self, ell: int) -> np.ndarray:
         """Coefficients of degree ``ell``, orders ``-ell..ell``."""
+        if not 0 <= ell < self.bandlimit:
+            raise ValueError(f"degree {ell} is outside [0, {self.bandlimit})")
         return self.data[ell * ell : (ell + 1) * (ell + 1)]
 
 

@@ -81,10 +81,11 @@ def nonzero_n_range(p: int, k: int, u: int, lf: int) -> list[int]:
 def _full_normal(p: int, u: int, cov: SpectralCovariance) -> np.ndarray:
     """``(X^T C X)^T`` of block ``(p, u)`` at full ``(2p+1, 2p+1)`` size."""
     out = np.zeros((2 * p + 1, 2 * p + 1), dtype=np.complex128)
-    G, keep = _gram_pair(p, u, cov.matrix[None], cov.bandlimit)
+    # G[1] is the Gram of the first covariance alone
+    G, keep = _gram_pair(p, u, cov, cov, cov.bandlimit)
     if G is not None:
         k = np.flatnonzero(keep)
-        out[k[:, None], k] = G[0]
+        out[k[:, None], k] = G[1]
     return out
 
 

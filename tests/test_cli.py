@@ -1,6 +1,7 @@
 """CLI subcommands driven end to end through temporary files."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ def test_parse_region_rejects_garbage():
     with pytest.raises(argparse.ArgumentTypeError, match="focus colatitude < semi-major") as exc:
         parse_region("ellipse:15,15")
     assert isinstance(exc.value.__cause__, ValueError)
+    assert "\n" not in str(exc.value)
+    # so does an ellipse too small for its boundary formula, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(argparse.ArgumentTypeError, match="too small") as exc:
+            parse_region("ellipse:1e-168,2e-168")
     assert "\n" not in str(exc.value)
 
 

@@ -12,7 +12,7 @@ from so3filter import (
     forward_dslsht,
 )
 from so3filter.coupling import triple_product_block
-from so3filter.filtering import _gram_pair, _stacked_pair
+from so3filter.filtering import _gram_pair
 
 from coupling_reference import nonzero_n_range, normal_matrix, normal_rhs, triple_product
 from helpers import random_coeffs, random_psd
@@ -89,13 +89,6 @@ class TestCovarianceType:
         mat[90, 3] = bad
         with pytest.raises(ValueError, match=detail):
             SpectralCovariance(10, mat)
-
-    def test_stacked_pair_is_contiguous_and_exact(self):
-        cs, cz = _cov(3, 1), _cov(3, 2)
-        stacked = _stacked_pair(cs, cz)
-        want = np.stack([cs.matrix + cz.matrix, cs.matrix])
-        assert stacked.tobytes() == want.tobytes()
-        assert np.shares_memory(stacked.ravel(), stacked)
 
 
 class TestNormalMatrix:
@@ -207,17 +200,17 @@ class TestSparseGram:
 
 class TestCoreGram:
     def test_core_gram_matches_dense_restriction(self):
-        # both stacked Grams at every block equal the dense (X^T C X)^T on
-        # the orders with a nonempty triple-product column
+        # both Grams at every block equal the dense (X^T C X)^T on the orders
+        # with a nonempty triple-product column, for C = Cs + Cz and C = Cs
         lf, lh = 6, 4
-        csum, cs = _cov(lf, 41), _cov(lf, 42)
-        stacked = np.stack([csum.matrix, cs.matrix])
+        cs, cz = _cov(lf, 41), _cov(lf, 42)
+        csum = SpectralCovariance(lf, cs.matrix + cz.matrix)
         partial = 0
         for u in range((lf + lh - 1) ** 2):
             for p in range(lh):
                 nn, X = triple_product_block(p, u, lf)
                 keep = X.any(axis=0)
-                G, got_keep = _gram_pair(p, u, stacked, lf)
+                G, got_keep = _gram_pair(p, u, cs, cz, lf)
                 assert np.array_equal(got_keep, keep)
                 if not keep.any():
                     assert G is None
@@ -228,6 +221,33 @@ class TestCoreGram:
                     dense = (X.T @ cov.matrix[np.ix_(nn, nn)] @ X).T[np.ix_(keep, keep)]
                     assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
         assert partial > 0
+
+    def test_gather_is_byte_exact_to_a_stacked_take(self):
+        # the two per-matrix takes feed the GEMMs the same bytes as one flat
+        # take from the stacked pair [Cs + Cz, Cs], so every Gram is unchanged
+        lf, lh = 6, 4
+        cs, cz = _cov(lf, 43), _cov(lf, 44)
+        n = lf * lf
+        stacked = np.stack([cs.matrix + cz.matrix, cs.matrix])
+        blocks = 0
+        for u in range((lf + lh - 1) ** 2):
+            for p in range(lh):
+                G, keep = _gram_pair(p, u, cs, cz, lf)
+                if G is None:
+                    continue
+                blocks += 1
+                nn, X = triple_product_block(p, u, lf)
+                rows = X.any(axis=1)
+                nn, X = nn[rows], X[rows]
+                if not keep.all():  # the same layout of X, so the same BLAS path
+                    X = X[:, keep]
+                m, c = X.shape
+                S = stacked.ravel().take(nn[:, None, None] * n + np.array([0, n * n])[:, None] + nn)
+                T = X.T @ S.view(np.float64).reshape(m, -1)
+                T = T.reshape(c, -1, m, 2).transpose(2, 0, 1, 3).reshape(m, -1)
+                want = (X.T @ T).view(np.complex128).reshape(c, c, -1).transpose(2, 0, 1)
+                assert G.tobytes() == want.tobytes()
+        assert blocks > 0
 
 
 class TestDesign:

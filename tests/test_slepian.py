@@ -1,6 +1,7 @@
 """Concentration regions, kernels and Slepian windows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestRegions:
         # focus == semi-major is a segment of zero area, not a region
         with pytest.raises(ValueError, match="focus colatitude < semi-major") as exc:
             SphericalEllipse(0.2, 0.2)
+        assert "\n" not in str(exc.value)
+
+    def test_ellipse_rejects_an_underflowing_size(self):
+        # sin(a - c) sin(a + c) underflows to 0, so the boundary would be 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too small") as exc:
+                SphericalEllipse(1e-170, 2e-170)
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -145,12 +154,16 @@ class TestKernel:
             assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_degenerate_region_rejected(self):
-        cap = PolarCap(1e-12)
-        # force an all-zero quadrature by collapsing the radial rule
         with pytest.raises(ValueError):
             PolarCap(0.0)
-        K = concentration_kernel(cap, 2)
-        assert np.isfinite(K).all()
+        # regions whose quadrature weights all underflow to zero
+        with pytest.raises(ValueError, match="degenerate"):
+            concentration_kernel(PolarCap(1e-170), 2)  # sin^2(theta0 / 2) is 0
+        ell = SphericalEllipse(1.5e-162, 3e-162)  # sin(a - c) sin(a + c) is still 5e-324
+        with pytest.raises(ValueError, match="degenerate"):
+            concentration_kernel(ell, 2)
+        # a tiny cap whose weights stay positive gives a finite kernel
+        assert np.isfinite(concentration_kernel(PolarCap(1e-12), 2)).all()
 
 
 class TestWindow:

@@ -225,3 +225,8 @@ class TestCoeffsType:
         coeffs = SphericalCoeffs.zeros(2)
         with pytest.raises(ValueError):
             coeffs.data[0] = 1.0
+
+    @pytest.mark.parametrize("ell", [-1, 3, 4])
+    def test_degree_slice_rejects_a_degree_out_of_range(self, ell):
+        with pytest.raises(ValueError, match="outside"):
+            SphericalCoeffs.zeros(3).degree_slice(ell)
