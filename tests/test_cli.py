@@ -41,6 +41,13 @@ def test_parse_region_rejects_garbage():
         with pytest.raises(argparse.ArgumentTypeError, match="too small") as exc:
             parse_region("ellipse:1e-168,2e-168")
     assert "\n" not in str(exc.value)
+    # and a cap whose sin^2(theta0 / 2) underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(argparse.ArgumentTypeError, match="degenerate") as exc:
+            parse_region("cap:1e-168")
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert "\n" not in str(exc.value)
 
 
 def test_read_config(tmp_path):

@@ -37,15 +37,15 @@ LF = 16
 LH = 8
 
 
-def _peak_in_matrices(fn) -> float:
-    """Peak traced allocation while ``fn()`` runs, in ``LF**2 x LF**2`` complex matrices."""
+def _peak_in_matrices(fn, n: int = LF * LF) -> float:
+    """Peak traced allocation while ``fn()`` runs, in ``n x n`` complex matrices."""
     tracemalloc.start()
     try:
         fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (16 * LF**4)
+    return peak / (16 * n * n)
 
 
 def test_spectral_covariance_allocates_only_its_matrix():
@@ -67,6 +67,12 @@ def test_warm_desk_denoise_allocates_under_one_and_a_quarter_matrices():
     f = SphericalCoeffs(LF, s.data + z.data)
     denoise(f, cs, cz, h)  # fill the triple-product cache
     assert _peak_in_matrices(lambda: denoise(f, cs, cz, h)) <= 1.25
+
+
+def test_cap_window_allocates_little_beyond_its_vectors():
+    # one real eigensolve per order: the L^2 x L^2 vectors are the only large array
+    cap = PolarCap(math.radians(15.0))
+    assert _peak_in_matrices(lambda: slepian_window(cap, 20), n=400) <= 1.25
 
 
 def test_read_covariance_streams_the_file(tmp_path):

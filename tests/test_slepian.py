@@ -28,6 +28,15 @@ class TestRegions:
         with pytest.raises(ValueError):
             PolarCap(3.2)
 
+    def test_cap_rejects_an_underflowing_size(self):
+        # sin^2(theta0 / 2) underflows to 0, so every quadrature weight would be 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="degenerate") as exc:
+                PolarCap(1e-170)
+        assert "\n" not in str(exc.value)
+        assert PolarCap(1e-150).theta0 == 1e-150
+
     def test_ellipse_center_inside(self):
         ell = SphericalEllipse(15 * DEG, 16 * DEG)
         assert ell.contains(0.0, 0.0)
@@ -153,6 +162,15 @@ class TestKernel:
             K = concentration_kernel(cap, L)
             assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_gauss_legendre_rule_is_cached_read_only(self):
+        from so3filter.slepian import _gauss_legendre
+
+        nodes, weights = _gauss_legendre(5)
+        assert _gauss_legendre(5)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        ref = np.polynomial.legendre.leggauss(5)
+        assert np.array_equal(nodes, ref[0]) and np.array_equal(weights, ref[1])
+
     def test_degenerate_region_rejected(self):
         with pytest.raises(ValueError):
             PolarCap(0.0)
@@ -210,6 +228,17 @@ class TestWindow:
             lams.append(slepian_window(PolarCap(theta0 * DEG), 6).eigenvalues[0])
         assert np.all(np.diff(lams) >= -1e-12)
 
+    def test_window_index_must_name_a_column(self):
+        res = slepian_window(PolarCap(15 * DEG), 3)
+        for k in (-1, 9):
+            with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+                res.window(k)
+        assert np.array_equal(res.window(8).data, res.vectors[:, 8])
+
+    def test_zero_bandlimit_rejected(self):
+        with pytest.raises(ValueError, match="bandlimit"):
+            slepian_window(PolarCap(15 * DEG), 0)
+
     def test_sign_convention_deterministic(self):
         res = slepian_window(PolarCap(15 * DEG), 8)
         w = res.window()
@@ -230,3 +259,45 @@ class TestWindow:
         ratio = float(np.sum(vals * w * inside) / np.sum(vals * w))
         assert ratio > 0.9
         assert ratio == pytest.approx(res.eigenvalues[0], abs=1e-3)
+
+
+class TestCapOrders:
+    """The cap is solved one order at a time."""
+
+    def test_each_vector_lies_on_one_order(self):
+        from so3filter.sphere import _lm_index
+
+        res = slepian_window(PolarCap(15 * DEG), 8)
+        _, ms = _lm_index(8)
+        orders = []
+        for j in range(64):
+            (m,) = np.unique(ms[res.vectors[:, j] != 0])
+            orders.append(m)
+        assert sorted(orders) == sorted(ms)
+        # each -m column follows its +m twin: same eigenvalue, same coefficients
+        for j, m in enumerate(orders):
+            if m < 0:
+                assert orders[j - 1] == -m
+                assert res.eigenvalues[j - 1] == res.eigenvalues[j]
+                assert np.array_equal(res.vectors[ms == -m, j - 1], res.vectors[ms == m, j])
+
+    @pytest.mark.parametrize("theta0_deg", [5, 15, 45, 135])
+    @pytest.mark.parametrize("L", [1, 2, 8, 12, 20])
+    def test_matches_dense_eigh(self, theta0_deg, L):
+        cap = PolarCap(theta0_deg * DEG)
+        K = concentration_kernel(cap, L)
+        evals, vecs = np.linalg.eigh(K)
+        res = slepian_window(cap, L)
+        V, lam = res.vectors, res.eigenvalues
+        assert np.abs(lam - evals[::-1]).max() <= 1e-13
+        assert np.abs(K @ V - V * lam).max() <= 1e-13
+        assert np.abs(V.conj().T @ V - np.eye(L * L)).max() <= 1e-13
+        # dense eigh's leading vector is accurate to about eps / gap, so it is
+        # checked against the span of the eigenvalues within 1e-2 of the top
+        dense = vecs[:, -1]
+        near = V[:, lam[0] - lam <= 1e-2]
+        assert np.linalg.norm(dense - near @ (near.conj().T @ dense)) <= 1e-13
+        if near.shape[1] == 1:
+            pivot = dense[np.argmax(np.abs(dense))]
+            dense = dense * np.conj(pivot) / abs(pivot)
+            assert np.abs(res.window().data - dense).max() <= 1e-13
