@@ -9,7 +9,10 @@ spectral covariances through triple products:
 
 With ``X[n, k] = T(n; p, k; u)`` (real) both are transposed Gram matrices:
 ``A = (X^T (Cs + Cz) X)^T`` and ``b(p, q, u) = (X^T Cs X)[q, :]``.  ``A`` is
-Hermitian positive semidefinite.  The Gram is formed only on the block's
+Hermitian positive semidefinite, because ``SpectralCovariance`` is the one
+gate for both covariances: whether built in code or read from a file, each
+is checked there to be finite, Hermitian and positive semidefinite, and
+nothing downstream checks again.  The Gram is formed only on the block's
 *core*: rows of ``X`` that the selection rules leave at zero (the parity
 zeros, about half) are dropped, and so are orders ``k`` whose column is
 structurally empty, since they contribute exact zero rows and columns.  Each
@@ -26,7 +29,7 @@ coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,22 +39,30 @@ from .dslsht import DslshtRep
 # Relative eigenvalue cut-off of the per-block solve.
 RCOND = 1e-10
 
+# Relative tolerance of the positive-semidefinite check on covariances.
+PSD_TOL = 1e-10
+
 # Rows per band of the covariance checks.
 _BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
 class SpectralCovariance:
-    """Hermitian covariance of harmonic coefficient vectors, indexed by ``n``.
+    """Hermitian PSD covariance of harmonic coefficient vectors, indexed by ``n``.
 
     ``matrix`` becomes a new read-only C-contiguous array holding the
     Hermitian part ``0.5 * (M + M^H)`` of the given ``M``, which is left
     untouched; it is the only ``n x n`` array the checks allocate.  ``M``
-    must be finite and Hermitian to 1e-12 of its largest entry.
+    must be finite and Hermitian to 1e-12 of its largest entry, and its
+    Hermitian part positive semidefinite: it is rejected when its smallest
+    ``eigvalsh`` eigenvalue lies below ``-PSD_TOL`` times the largest
+    magnitude.  An all-zero matrix skips the eigensolve.
     """
 
     bandlimit: int
     matrix: np.ndarray
+    # Bounds the magnitude of every real and imaginary part of ``matrix``.
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bandlimit < 1:
@@ -68,18 +79,45 @@ class SpectralCovariance:
         herm = np.empty((n, n), dtype=np.complex128)
         np.conjugate(mat.T, out=herm)
         # Relative to the matrix's own scale; an all-zero matrix passes.
+        peak = max(float(np.abs(mat[b]).max()) for b in bands)
         asym = max(float(np.abs(mat[b] - herm[b]).max()) for b in bands)
-        if asym > 1e-12 * max(float(np.abs(mat[b]).max()) for b in bands):
+        if asym > 1e-12 * peak:
             raise ValueError("covariance matrix is not Hermitian")
         herm += mat  # the bits of 0.5 * (mat + mat^H), formed in place
         herm *= 0.5
+        if peak > 0.0:
+            w = np.linalg.eigvalsh(herm)
+            if w[0] < -PSD_TOL * np.abs(w).max():
+                raise ValueError(
+                    f"covariance matrix is not positive semidefinite (min eigenvalue {w[0]:.3g})"
+                )
         herm.setflags(write=False)
         object.__setattr__(self, "matrix", herm)
+        object.__setattr__(self, "_peak", peak)
 
     @classmethod
     def zeros(cls, bandlimit: int) -> "SpectralCovariance":
         n = bandlimit**2
         return cls(bandlimit, np.zeros((n, n), dtype=np.complex128))
+
+    def scaled(self, factor: float) -> "SpectralCovariance":
+        """``factor`` times this covariance, with no check but one for range.
+
+        A nonnegative multiple of a Hermitian PSD matrix is one, and the
+        product of the exactly Hermitian ``matrix`` with a real factor is
+        exactly Hermitian: for a positive factor the result is bit for bit
+        ``SpectralCovariance(bandlimit, factor * matrix)``.  A negative or
+        non-finite factor, or one that overflows an entry, is rejected.
+        """
+        peak = factor * self._peak
+        if not (factor >= 0.0 and math.isfinite(peak)):
+            raise ValueError(f"covariance scale factor {factor} is negative, non-finite or overflows")
+        mat = factor * self.matrix
+        mat.setflags(write=False)
+        out = object.__new__(SpectralCovariance)
+        for name, value in (("bandlimit", self.bandlimit), ("matrix", mat), ("_peak", peak)):
+            object.__setattr__(out, name, value)
+        return out
 
 
 @dataclass(frozen=True)

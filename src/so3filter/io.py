@@ -3,9 +3,9 @@
 * Coefficients: header ``slm v1 L=<int>`` then ``L**2`` lines ``n re im`` in
   increasing ``n``.
 * Covariance: header ``cov v1 L=<int>`` then ``L**2`` rows of ``2*L**2``
-  floats (``re im`` pairs, row-major).  The matrix must be Hermitian positive
-  semidefinite: eigenvalues below ``-PSD_TOL`` times the largest magnitude
-  are rejected.
+  floats (``re im`` pairs, row-major).  The matrix goes to
+  ``SpectralCovariance``, which rejects one that is not Hermitian positive
+  semidefinite; the reader adds only the file's path to its message.
 * Rasters: binary 8-bit PGM.
 """
 
@@ -19,9 +19,6 @@ import numpy as np
 
 from .filtering import SpectralCovariance
 from .sphere import SphericalCoeffs
-
-# Relative tolerance of the positive-semidefinite check on covariance files.
-PSD_TOL = 1e-10
 
 
 def _header_bandlimit(path, head: str, tag: str, kind: str) -> int:
@@ -136,11 +133,11 @@ def read_covariance(path) -> SpectralCovariance:
     with open(path) as fh:
         L = _header_bandlimit(path, fh.readline(), "cov", "covariance")
         size = os.fstat(fh.fileno()).st_size
-        cov = SpectralCovariance(L, _covariance_rows(path, _body(fh), L * L, size))
-    w = np.linalg.eigvalsh(cov.matrix)
-    if w[0] < -PSD_TOL * np.abs(w).max():
-        raise ValueError(f"{path}: covariance is not positive semidefinite (min eigenvalue {w[0]:.3g})")
-    return cov
+        mat = _covariance_rows(path, _body(fh), L * L, size)
+    try:
+        return SpectralCovariance(L, mat)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -261,15 +261,16 @@ def benchmark(
     One mixing matrix is drawn from the master seed; realisation ``r`` draws
     its noise from ``seed + r`` (1-based) once, before the first denoise, and
     is shared across targets, with the amplitude recalibrated per target.
-    The noise model and its mixing matrix are released before the sweep, and
-    each denoise's ``Cz`` before the next one is built.  Fully deterministic
-    in the seed.
+    The noise covariance ``C0`` is built and checked once; each denoise's
+    ``Cz`` is ``C0.scaled(alpha**2)``.  The noise model and its mixing
+    matrix are released before the sweep, and each ``Cz`` before the next
+    one is built.  Fully deterministic in the seed.
     """
     if s.bandlimit != cfg.lf or h.bandlimit != cfg.lh:
         raise ValueError("signal or window bandlimit does not match the config")
     model = NoiseModel.random(cfg.lf, cfg.seed)
     cs = build_signal_covariance(s)
-    base_cov = model.covariance().matrix
+    c0 = model.covariance()
     draws = [synth_noise(model, cfg.seed + r) for r in range(1, cfg.realizations + 1)]
     del model
     rows = []
@@ -278,7 +279,7 @@ def benchmark(
         outputs = []
         for r, z_raw in enumerate(draws, start=1):
             z, alpha = calibrate_snr(s, z_raw, target)
-            cz = SpectralCovariance(cfg.lf, alpha**2 * base_cov)
+            cz = c0.scaled(alpha**2)
             f = SphericalCoeffs(cfg.lf, s.data + z.data)
             est = denoise(f, cs, cz, h)
             del cz  # released before the next target's Cz is built

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -85,9 +86,10 @@ class SphericalEllipse:
             raise ValueError("need 0 < focus colatitude < semi-major radius")
         if not self.semi_major < 0.5 * math.pi:
             raise ValueError("semi-major radius must be below pi/2")
-        a, c = self.semi_major, self.focus_colatitude
-        if math.sin(a - c) * math.sin(a + c) == 0.0:
-            raise ValueError("ellipse is too small: sin(a - c) sin(a + c) underflows to 0")
+        # A normal a^2 keeps the boundary's sin(a - c) sin(a + c) nonzero and
+        # some quadrature weights positive; below it the weights underflow.
+        if self.semi_major * self.semi_major < sys.float_info.min:
+            raise ValueError("ellipse is too small: its semi-major radius squared underflows")
 
     def _distance_sum(self, theta, phi):
         theta = np.asarray(theta, dtype=np.float64)
@@ -165,9 +167,6 @@ def _cap_blocks(theta0: float, L: int) -> np.ndarray:
 def _quadrature_kernel(region: Region, L: int, n_phi: int, n_radial: int) -> np.ndarray:
     """Kernel of any star-shaped region by the longitude-radial node rule."""
     thetas, phis, weights = _region_nodes(region, n_phi, n_radial)
-    if not np.any(weights > 0.0):
-        raise ValueError("region is degenerate under the quadrature grid")
-
     K = np.zeros((L * L, L * L), dtype=np.complex128)
     _, ms = _lm_index(L)
     # Chunk over longitude to bound the size of the node-value matrix.

@@ -41,6 +41,9 @@ def test_parse_region_rejects_garbage():
         with pytest.raises(argparse.ArgumentTypeError, match="too small") as exc:
             parse_region("ellipse:1e-168,2e-168")
     assert "\n" not in str(exc.value)
+    # and one whose quadrature weights would all underflow
+    with pytest.raises(argparse.ArgumentTypeError, match="too small"):
+        parse_region("ellipse:8.6e-161,1.7e-160")
     # and a cap whose sin^2(theta0 / 2) underflows to 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -90,6 +90,49 @@ class TestCovarianceType:
         with pytest.raises(ValueError, match=detail):
             SpectralCovariance(10, mat)
 
+    def test_zero_matrix_skips_the_eigensolve(self, monkeypatch):
+        def no_eigensolve(_):
+            raise AssertionError("eigvalsh ran on an all-zero covariance")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        assert not SpectralCovariance.zeros(16).matrix.any()
+
+    @pytest.mark.parametrize("depth, rejected", [(1e-9, True), (1e-11, False)])
+    def test_psd_border_is_relative_to_the_largest_eigenvalue(self, depth, rejected):
+        w = np.array([-depth, 1.0, 2.0, 4.0])
+        mat = np.diag(1e-30 * w).astype(complex)  # the rule holds at any scale
+        if rejected:
+            with pytest.raises(ValueError, match="not positive semidefinite") as exc:
+                SpectralCovariance(2, mat)
+            assert "\n" not in str(exc.value)
+        else:
+            assert SpectralCovariance(2, mat).matrix[0, 0] == -1e-30 * depth
+
+    @pytest.mark.parametrize("factor", [1e-300, 0.37, 3.0, 1e250])
+    def test_scaled_is_the_checked_product_bit_for_bit(self, factor):
+        cov = _cov(4, 5)
+        got = cov.scaled(factor)
+        want = SpectralCovariance(4, factor * cov.matrix)
+        assert got.bandlimit == 4
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
+        assert got.scaled(2.0).matrix.tobytes() == SpectralCovariance(4, 2.0 * want.matrix).matrix.tobytes()
+        # a zero factor gives the same values, up to the signs of zeros
+        assert not cov.scaled(0.0).matrix.any()
+
+    @pytest.mark.parametrize("factor", [1e308, math.inf, math.nan, -1.0])
+    def test_scaled_rejects_a_factor_out_of_range(self, factor):
+        cov = _cov(2, 1)
+        with pytest.raises(ValueError, match="scale factor"):
+            cov.scaled(factor)
+
+    def test_scaled_zero_matrix_rejects_only_a_non_finite_or_negative_factor(self):
+        zero = SpectralCovariance.zeros(2)
+        assert not zero.scaled(1e308).matrix.any()
+        for factor in (math.inf, -1.0):
+            with pytest.raises(ValueError, match="scale factor"):
+                zero.scaled(factor)
+
 
 class TestNormalMatrix:
     def test_zero_covariance(self):

@@ -1,5 +1,6 @@
 """File formats: headers, round-trips, rejection of malformed input."""
 
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3filter import SpectralCovariance
+from so3filter.filtering import PSD_TOL
 from so3filter.io import (
-    PSD_TOL,
     read_coeffs,
     read_covariance,
     write_coeffs,
@@ -52,6 +53,26 @@ def test_malformed_covariance_names_file_and_line(tmp_path, bad, detail):
     with pytest.raises(ValueError, match=detail) as exc:
         read_covariance(path)
     assert str(exc.value).startswith(f"{path}: line 3: ")
+
+
+def _cov_text(mat: np.ndarray) -> str:
+    """A ``.cov`` file's text for any square matrix, written without ``SpectralCovariance``."""
+    n = mat.shape[0]
+    pairs = np.stack([mat.real, mat.imag], axis=-1).reshape(n, 2 * n)
+    rows = (" ".join(f"{v:.17g}" for v in row) for row in pairs)
+    return f"cov v1 L={math.isqrt(n)}\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("entry, detail", [((0, 1), "not Hermitian"), ((0, 0), "not positive semidefinite")])
+def test_rejected_covariance_names_its_file(tmp_path, entry, detail):
+    mat = np.eye(4, dtype=complex)
+    mat[entry] = -1.0
+    path = tmp_path / "bad.cov"
+    path.write_text(_cov_text(mat))
+    with pytest.raises(ValueError, match=detail) as exc:
+        read_covariance(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert "\n" not in str(exc.value)
 
 
 class TestCoeffFiles:
@@ -162,16 +183,20 @@ class TestCovarianceFiles:
     @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(1e3 * PSD_TOL, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_negative_eigenvalue_rejected(self, L, seed, depth):
+        # The type refuses the matrix, so the file is written from the text.
         n = L * L
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         w = rng.uniform(1.0, 10.0, n)
         w[0] = -depth * w.max()
-        cov = SpectralCovariance(L, (Q * w) @ Q.conj().T)
+        mat = (Q * w) @ Q.conj().T
+        detail = "covariance matrix is not positive semidefinite"
+        with pytest.raises(ValueError, match=detail):
+            SpectralCovariance(L, mat)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.cov"
-            write_covariance(path, cov)
-            with pytest.raises(ValueError, match="c.cov: covariance is not positive semidefinite"):
+            path.write_text(_cov_text(mat))
+            with pytest.raises(ValueError, match=f"c.cov: {detail}"):
                 read_covariance(path)
 
 

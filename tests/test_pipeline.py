@@ -29,13 +29,19 @@ from so3filter import (
     synth_noise,
 )
 
-from so3filter import coupling
+from so3filter import coupling, pipeline
 
 from helpers import random_coeffs, random_psd
 from sphere_reference import unit_coeffs
 
 
 class TestSignalCovariance:
+    @pytest.mark.parametrize("lf", [16, 32])
+    def test_rank_one_covariance_passes_the_psd_check(self, lf):
+        s = make_test_signal(lf, 1)
+        cov = build_signal_covariance(s)
+        assert np.abs(cov.matrix - np.outer(s.data, np.conj(s.data))).max() < 1e-15
+
     def test_monopole_source(self):
         cov = build_signal_covariance(unit_coeffs(2, 0))
         expected = np.zeros((4, 4))
@@ -172,6 +178,22 @@ class TestDenoise:
         est = denoise(SphericalCoeffs(6, s.data.copy()), cs, cz, h)
         rel = np.linalg.norm(est.data - s.data) / np.linalg.norm(s.data)
         assert rel < 1e-6
+
+    def test_non_psd_noise_covariance_is_rejected_before_denoise(self, monkeypatch):
+        # Unchecked, a Cz shifted this far below zero once denoised with 85% of
+        # slots flagged and a gain of -25.6 dB.
+        lf, lh = 8, 4
+        s = make_test_signal(lf, 1)
+        model = NoiseModel.random(lf, 2)
+        z, alpha = calibrate_snr(s, synth_noise(model, 3), 0.0)
+        base = alpha**2 * model.covariance().matrix
+        shifted = base - (np.linalg.eigvalsh(base)[0] + 0.043) * np.eye(lf * lf)
+        f = SphericalCoeffs(lf, s.data + z.data)
+        h = slepian_window(PolarCap(math.radians(15)), lh).window()
+        monkeypatch.setattr(pipeline, "design_component", None)  # a denoise would fail on it
+        with pytest.raises(ValueError, match=r"not positive semidefinite \(min eigenvalue -0.043\)") as exc:
+            denoise(f, build_signal_covariance(s), SpectralCovariance(lf, shifted), h)
+        assert "\n" not in str(exc.value)
 
     def test_zero_signal_covariance_gives_zero(self):
         f = random_coeffs(4, 32)

@@ -1,6 +1,7 @@
 """Concentration regions, kernels and Slepian windows."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestRegions:
         assert "\n" not in str(exc.value)
 
     def test_ellipse_rejects_an_underflowing_size(self):
-        # sin(a - c) sin(a + c) underflows to 0, so the boundary would be 0/0
+        # the semi-major radius squared underflows, so the boundary would be 0/0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="too small") as exc:
@@ -174,14 +175,30 @@ class TestKernel:
     def test_degenerate_region_rejected(self):
         with pytest.raises(ValueError):
             PolarCap(0.0)
-        # regions whose quadrature weights all underflow to zero
+        # regions whose quadrature weights would all underflow to zero are
+        # rejected where they are built
         with pytest.raises(ValueError, match="degenerate"):
-            concentration_kernel(PolarCap(1e-170), 2)  # sin^2(theta0 / 2) is 0
-        ell = SphericalEllipse(1.5e-162, 3e-162)  # sin(a - c) sin(a + c) is still 5e-324
-        with pytest.raises(ValueError, match="degenerate"):
-            concentration_kernel(ell, 2)
+            PolarCap(1e-170)  # sin^2(theta0 / 2) is 0
+        with pytest.raises(ValueError, match="too small"):
+            SphericalEllipse(1.5e-162, 3e-162)  # sin(a - c) sin(a + c) is still 5e-324
         # a tiny cap whose weights stay positive gives a finite kernel
         assert np.isfinite(concentration_kernel(PolarCap(1e-12), 2)).all()
+
+    @pytest.mark.parametrize("lh", [1, 8, 20])
+    @pytest.mark.parametrize("focus_share", [0.5, "next below"])
+    def test_smallest_accepted_ellipse_solves(self, lh, focus_share):
+        semi = math.sqrt(sys.float_info.min)  # 2^-511: its square is the smallest normal
+        assert semi * semi == sys.float_info.min
+        # half the radius, or the float just below it: sin(a - c) sin(a + c) is 5e-324
+        focus = 0.5 * semi if focus_share == 0.5 else math.nextafter(semi, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = slepian_window(SphericalEllipse(focus, semi), lh)
+        assert np.isfinite(res.vectors).all() and np.isfinite(res.eigenvalues).all()
+        assert res.eigenvalues[0] > 0.0
+        assert res.window().norm() == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="too small"):
+            SphericalEllipse(0.5 * semi, math.nextafter(semi, 0.0))
 
 
 class TestWindow:
