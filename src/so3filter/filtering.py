@@ -43,7 +43,7 @@ RCOND = 1e-10
 PSD_TOL = 1e-10
 
 # Rows per band of the covariance checks.
-_BAND_ROWS = 64
+_BAND_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class SpectralCovariance:
     must be finite and Hermitian to 1e-12 of its largest entry, and its
     Hermitian part positive semidefinite: it is rejected when its smallest
     ``eigvalsh`` eigenvalue lies below ``-PSD_TOL`` times the largest
-    magnitude.  An all-zero matrix skips the eigensolve.
+    magnitude.
     """
 
     bandlimit: int
@@ -65,43 +65,52 @@ class SpectralCovariance:
     _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bandlimit < 1:
+        self._admit(self.bandlimit, np.array(self.matrix, dtype=np.complex128, order="C"), eigensolve=True)
+
+    @classmethod
+    def _adopt(cls, bandlimit: int, matrix: np.ndarray) -> "SpectralCovariance":
+        """The checks but the eigensolve, for a ``complex128`` C array that is PSD by
+        construction, taken over with its Hermitian part formed in place."""
+        return cls.__new__(cls)._admit(bandlimit, matrix, eigensolve=False)
+
+    def _admit(self, bandlimit: int, mat: np.ndarray, eigensolve: bool) -> "SpectralCovariance":
+        if bandlimit < 1:
             raise ValueError("bandlimit must be positive")
-        n = self.bandlimit**2
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        n = bandlimit**2
         if mat.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got {mat.shape}")
-        # The checks run over row bands, so their temporaries stay a slice of
-        # the matrix; the result is the one new n x n array.
+        # Row bands keep the checks' temporaries a slice of the matrix.
         bands = [slice(i, i + _BAND_ROWS) for i in range(0, n, _BAND_ROWS)]
         if not all(np.isfinite(mat[b]).all() for b in bands):
             raise ValueError("covariance matrix has non-finite entries")
-        herm = np.empty((n, n), dtype=np.complex128)
-        np.conjugate(mat.T, out=herm)
         # Relative to the matrix's own scale; an all-zero matrix passes.
         peak = max(float(np.abs(mat[b]).max()) for b in bands)
-        asym = max(float(np.abs(mat[b] - herm[b]).max()) for b in bands)
+        asym = max(float(np.abs(mat[b] - mat[:, b].T.conj()).max()) for b in bands)
         if asym > 1e-12 * peak:
             raise ValueError("covariance matrix is not Hermitian")
-        herm += mat  # the bits of 0.5 * (mat + mat^H), formed in place
-        herm *= 0.5
-        if peak > 0.0:
-            w = np.linalg.eigvalsh(herm)
+        if asym > 0.0:
+            # The bits of 0.5 * (M + M^H), halved first so nothing overflows;
+            # left of the diagonal a band mirrors the bands already formed.
+            for b in bands:
+                mat[b, b.start :] = 0.5 * mat[b, b.start :] + 0.5 * mat[b.start :, b].T.conj()
+                mat[b, : b.start] = mat[: b.start, b].T.conj()
+        if eigensolve:
+            w = np.linalg.eigvalsh(mat)
             if w[0] < -PSD_TOL * np.abs(w).max():
                 raise ValueError(
                     f"covariance matrix is not positive semidefinite (min eigenvalue {w[0]:.3g})"
                 )
-        herm.setflags(write=False)
-        object.__setattr__(self, "matrix", herm)
-        object.__setattr__(self, "_peak", peak)
+        mat.setflags(write=False)
+        for name, value in (("bandlimit", bandlimit), ("matrix", mat), ("_peak", peak)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def zeros(cls, bandlimit: int) -> "SpectralCovariance":
-        n = bandlimit**2
-        return cls(bandlimit, np.zeros((n, n), dtype=np.complex128))
+        return cls._adopt(bandlimit, np.zeros((bandlimit**2,) * 2, dtype=np.complex128))
 
     def scaled(self, factor: float) -> "SpectralCovariance":
-        """``factor`` times this covariance, with no check but one for range.
+        """``factor`` times this covariance, with no eigensolve.
 
         A nonnegative multiple of a Hermitian PSD matrix is one, and the
         product of the exactly Hermitian ``matrix`` with a real factor is
@@ -109,15 +118,9 @@ class SpectralCovariance:
         ``SpectralCovariance(bandlimit, factor * matrix)``.  A negative or
         non-finite factor, or one that overflows an entry, is rejected.
         """
-        peak = factor * self._peak
-        if not (factor >= 0.0 and math.isfinite(peak)):
+        if not (factor >= 0.0 and math.isfinite(factor * self._peak)):
             raise ValueError(f"covariance scale factor {factor} is negative, non-finite or overflows")
-        mat = factor * self.matrix
-        mat.setflags(write=False)
-        out = object.__new__(SpectralCovariance)
-        for name, value in (("bandlimit", self.bandlimit), ("matrix", mat), ("_peak", peak)):
-            object.__setattr__(out, name, value)
-        return out
+        return SpectralCovariance._adopt(self.bandlimit, factor * self.matrix)
 
 
 @dataclass(frozen=True)

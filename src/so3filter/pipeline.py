@@ -62,7 +62,7 @@ def build_signal_covariance(s: SphericalCoeffs) -> SpectralCovariance:
     """Rank-one source covariance ``s s^H`` built from the true spectrum."""
     if s.norm() == 0.0:
         raise ValueError("source signal must be nonzero")
-    return SpectralCovariance(s.bandlimit, np.outer(s.data, np.conj(s.data)))
+    return SpectralCovariance._adopt(s.bandlimit, np.outer(s.data, np.conj(s.data)))
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ class NoiseModel:
         return cls(mat, scale)
 
     def covariance(self) -> SpectralCovariance:
-        """``scale**2 T T^H``; ``SpectralCovariance`` takes its Hermitian part."""
+        """``scale**2 T T^H``, PSD by construction, so it skips the eigensolve."""
         mat = self.mixing @ self.mixing.conj().T
         mat *= self.scale**2
-        return SpectralCovariance(self.bandlimit, mat)
+        return SpectralCovariance._adopt(self.bandlimit, mat)
 
 
 def synth_noise(model: NoiseModel, seed: int) -> SphericalCoeffs:
@@ -161,7 +161,8 @@ def denoise_with_diagnostics(
 
     Beside ``Cs``, ``Cz`` and the cached triple-product records it holds no
     ``n x n`` array: each block gathers its core from the two covariances,
-    and the components stream.
+    and the components stream.  It reads the window only through its per-degree
+    power ``sum_q' |(h)_p^{q'}|^2``: a rotated window gives the same estimate.
     """
     lf = f.bandlimit
     if cs.bandlimit != lf or cz.bandlimit != lf:

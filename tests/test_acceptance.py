@@ -259,7 +259,7 @@ def test_full_scale_smoke():
     z_raw = synth_noise(model, 987656)
     z, alpha = calibrate_snr(s, z_raw, 0.0)
     cs = build_signal_covariance(s)
-    cz = SpectralCovariance(lf, alpha**2 * model.covariance().matrix)
+    cz = model.covariance().scaled(alpha**2)
     del model  # its mixing matrix is not part of a denoise's footprint
     f = SphericalCoeffs(lf, s.data + z.data)
     est, diag = denoise_with_diagnostics(f, cs, cz, h)

@@ -1,15 +1,19 @@
 """Normal equations, filter design and filter application."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from so3filter import (
+    NoiseModel,
     SpectralCovariance,
     apply_filter,
+    build_signal_covariance,
     design_filter,
     forward_dslsht,
+    make_test_signal,
 )
 from so3filter.coupling import triple_product_block
 from so3filter.filtering import _gram_pair
@@ -20,6 +24,24 @@ from helpers import random_coeffs, random_psd
 
 def _cov(bandlimit, seed, rank=None, scale=1.0):
     return SpectralCovariance(bandlimit, scale * random_psd(bandlimit**2, seed, rank))
+
+
+def _package_built(kind, lf):
+    """A covariance the package builds itself, and the product it is built from."""
+    n = lf * lf
+    if kind == "zeros":
+        return SpectralCovariance.zeros(lf), np.zeros((n, n), dtype=complex)
+    if kind == "scaled":
+        base = NoiseModel.random(lf, 1).covariance()
+        return base.scaled(0.37), 0.37 * base.matrix
+    if kind == "noise":
+        model = NoiseModel.random(lf, 2, scale=0.7)
+        return model.covariance(), 0.7**2 * (model.mixing @ model.mixing.conj().T)
+    s = make_test_signal(lf, 3)
+    return build_signal_covariance(s), np.outer(s.data, np.conj(s.data))
+
+
+PACKAGE_BUILT = ["zeros", "scaled", "noise", "signal"]
 
 
 def _structurally_nonempty(lf, lh):
@@ -90,12 +112,40 @@ class TestCovarianceType:
         with pytest.raises(ValueError, match=detail):
             SpectralCovariance(10, mat)
 
-    def test_zero_matrix_skips_the_eigensolve(self, monkeypatch):
+    @pytest.mark.parametrize("kind", PACKAGE_BUILT)
+    def test_package_built_covariances_skip_the_eigensolve(self, kind, monkeypatch):
         def no_eigensolve(_):
-            raise AssertionError("eigvalsh ran on an all-zero covariance")
+            raise AssertionError(f"eigvalsh ran on a {kind} covariance")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        assert not SpectralCovariance.zeros(16).matrix.any()
+        cov, product = _package_built(kind, 16)
+        assert np.abs(cov.matrix - product).max() <= 1e-15 * np.abs(product).max()
+        assert cov.matrix.flags.c_contiguous and not cov.matrix.flags.writeable
+
+    @pytest.mark.parametrize("lf", [4, 8, 16])
+    @pytest.mark.parametrize("kind", PACKAGE_BUILT)
+    def test_package_built_covariances_pass_the_checked_rule_bit_for_bit(self, kind, lf):
+        cov, product = _package_built(kind, lf)
+        assert cov.matrix.tobytes() == SpectralCovariance(lf, product).matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "lf, block",
+        [
+            (1, [[1.7e308]]),
+            (2, [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]),
+            # not exactly Hermitian, so its Hermitian part is formed
+            (2, [[1.7e308, 1.7e308], [1.7e308 * (1.0 - 1e-15), 1.7e308]]),
+        ],
+    )
+    def test_entries_near_the_largest_float_do_not_overflow(self, lf, block):
+        mat = np.zeros((lf * lf, lf * lf), dtype=complex)
+        mat[: len(block), : len(block)] = block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = SpectralCovariance(lf, mat).matrix
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - mat).max() <= 1e-15 * 1.7e308
 
     @pytest.mark.parametrize("depth, rejected", [(1e-9, True), (1e-11, False)])
     def test_psd_border_is_relative_to_the_largest_eigenvalue(self, depth, rejected):

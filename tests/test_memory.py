@@ -53,6 +53,11 @@ def test_spectral_covariance_allocates_only_its_matrix():
     assert _peak_in_matrices(lambda: SpectralCovariance(LF, mat)) <= 1.5
 
 
+def test_scaled_allocates_only_its_product():
+    cov = NoiseModel.random(LF, 3).covariance()
+    assert _peak_in_matrices(lambda: cov.scaled(0.5)) <= 1.25
+
+
 def test_noise_model_covariance_stays_within_four_matrices():
     assert _peak_in_matrices(lambda: NoiseModel.random(LF, 3).covariance()) <= 4.0
 

@@ -14,6 +14,7 @@ from so3filter import (
     PolarCap,
     SpectralCovariance,
     SphericalCoeffs,
+    SphericalEllipse,
     apply_filter,
     benchmark,
     build_signal_covariance,
@@ -32,6 +33,7 @@ from so3filter import (
 from so3filter import coupling, pipeline
 
 from helpers import random_coeffs, random_psd
+from so3_reference import Rotation, rotate_coeffs
 from sphere_reference import unit_coeffs
 
 
@@ -238,6 +240,18 @@ class TestDenoise:
         ]
         assert partial
         assert all(diag.rank[u, p] > 0 for u, p in partial)
+
+    def test_estimate_depends_on_the_window_only_through_its_degree_power(self):
+        # rotating the window keeps sum_q' |h_p^q'|^2 for every degree p
+        lf, lh = 8, 5
+        cs = SpectralCovariance(lf, random_psd(lf * lf, 51))
+        cz = SpectralCovariance(lf, 0.5 * random_psd(lf * lf, 52))
+        f = random_coeffs(lf, 53)
+        h = slepian_window(SphericalEllipse(math.radians(20), math.radians(25)), lh).window()
+        want = denoise(f, cs, cz, h).data
+        for rho in (Rotation(0.3, 1.1, -0.7), Rotation(2.0, 0.4, 1.3)):
+            got = denoise(f, cs, cz, rotate_coeffs(h, rho)).data
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_improves_snr_at_zero_db(self):
         lf, lh = 8, 4
