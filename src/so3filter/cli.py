@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -53,12 +54,15 @@ def parse_region(text: str) -> Region:
 def read_config(path) -> dict:
     """Plain ``key=value`` config file; blank lines and ``#`` comments ignored.
 
+    A ``#`` starts a comment only at the start of a line or after
+    whitespace, so ``out_dir=runs#1`` keeps its ``#``.
+
     Every key must be one of ``CONFIG_KEYS``, so a misspelt one is an error
     rather than a silently kept default.
     """
     values = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

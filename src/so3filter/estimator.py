@@ -21,7 +21,10 @@ component enters, and ``sum_n`` runs over the triple-product rows:
 A filtered component ``zeta(.; u) g(.; u)`` is rank one in ``q'`` like
 ``g(.; u)``, so its ``nh`` is ``(zeta tau)[p, q] * sum_q' |(h)_p^{q'}|^2``
 (see :mod:`.dslsht`) and no cube is formed.  The streaming denoise and the
-materialised representation feed the same accumulation.
+materialised representation feed the same accumulation.  So the estimate
+depends on the window only through its per-degree power
+``hpow[p] = sum_q' |(h)_p^{q'}|^2``: it is ``sum_p w_p e_p`` with weights
+``w_p = hpow[p] / sum(hpow)`` and window-free per-degree estimates ``e_p``.
 """
 
 from __future__ import annotations

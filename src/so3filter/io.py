@@ -1,19 +1,20 @@
 """File formats: coefficient vectors, covariances, raster output.
 
-* Coefficients: header ``slm v1 L=<int>`` then ``L**2`` lines ``n re im`` in
-  increasing ``n``.
-* Covariance: header ``cov v1 L=<int>`` then ``L**2`` rows of ``2*L**2``
-  floats (``re im`` pairs, row-major).  The matrix goes to
-  ``SpectralCovariance``, which rejects one that is not Hermitian positive
-  semidefinite; the reader adds only the file's path to its message.
+Both text formats are a header ``<tag> v1 L=<int>`` then ``L**2`` rows of
+finite floats, written in ``.17g`` by one writer and read by one reader.
+
+* Coefficients (``slm``): rows ``n re im``, the index ``n`` equal in value
+  to the row number.
+* Covariance (``cov``): rows of ``2*L**2`` floats (``re im`` pairs,
+  row-major).  The matrix goes to ``SpectralCovariance``, which rejects one
+  that is not Hermitian positive semidefinite; the reader adds only the
+  file's path to its message.
 * Rasters: binary 8-bit PGM.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -40,87 +41,72 @@ def _header_bandlimit(path, head: str, tag: str, kind: str) -> int:
     return L
 
 
+def _write_table(path, tag: str, L: int, table: np.ndarray) -> None:
+    """A ``<tag> v1 L=<L>`` header, then one line per row of ``table`` in ``.17g``."""
+    fmt = "{:.17g}".format
+    with open(path, "w") as fh:
+        fh.write(f"{tag} v1 L={L}\n")
+        for row in table.tolist():
+            fh.write(" ".join(map(fmt, row)) + "\n")
+
+
+def _read_table(path, tag: str, kind: str, width) -> tuple[int, np.ndarray]:
+    """``L`` and the ``(L**2, width(L**2))`` float rows of a ``<tag> v1 L=<int>`` file.
+
+    Rows go straight into the table, and blank lines are skipped.  A wrong
+    row count is reported before any malformed row, as it would be if the
+    rows were counted first; a malformed row's error names its line.  ``n``
+    rows of ``w`` values take at least ``2 n w - 1`` bytes, so a smaller file
+    cannot hold the table: its rows are checked without allocating one.
+    """
+    with open(path) as fh:
+        L = _header_bandlimit(path, fh.readline(), tag, kind)
+        n = L * L
+        w = width(n)
+        table = np.empty((n, w)) if os.fstat(fh.fileno()).st_size >= 2 * n * w - 1 else None
+        found = 0
+        bad = None  # the first malformed row's error, raised once the count is right
+        for num, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            i, found = found, found + 1
+            if i >= n or bad is not None:
+                continue
+            try:
+                vals = np.array(line.split(), dtype=np.float64)
+            except ValueError as exc:
+                bad = f"line {num}: {exc}"
+                continue
+            if vals.size != w:
+                bad = f"line {num}: {kind} row {i} has {vals.size} values, expected {w}"
+            elif not np.isfinite(vals).all():
+                bad = f"line {num}: {kind} row {i} has non-finite entries"
+            elif table is not None:
+                table[i] = vals
+    if found != n:
+        raise ValueError(f"{path}: expected {n} {kind} rows, found {found}")
+    if bad is not None:
+        raise ValueError(f"{path}: {bad}")
+    return L, table
+
+
 def write_coeffs(path, coeffs: SphericalCoeffs) -> None:
-    L = coeffs.bandlimit
-    lines = [f"slm v1 L={L}"]
-    for n, c in enumerate(coeffs.data):
-        lines.append(f"{n} {c.real:.17g} {c.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _body(fh):
-    """Nonblank lines after the header, with their 1-based line numbers, read lazily."""
-    return ((num, ln.rstrip("\n")) for num, ln in enumerate(fh, start=2) if ln.strip())
+    d = coeffs.data
+    _write_table(path, "slm", coeffs.bandlimit, np.column_stack([np.arange(d.size), d.real, d.imag]))
 
 
 def read_coeffs(path) -> SphericalCoeffs:
-    with open(path) as fh:
-        L = _header_bandlimit(path, fh.readline(), "slm", "coefficient")
-        body = list(_body(fh))
-    if len(body) != L * L:
-        raise ValueError(f"{path}: expected {L * L} coefficient lines, found {len(body)}")
-    data = np.empty(L * L, dtype=np.complex128)
-    for i, (num, ln) in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {num}: bad coefficient line {ln!r}")
-        try:
-            n, re, im = int(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {num}: {exc}") from None
-        if n != i:
-            raise ValueError(f"{path}: line {num}: coefficient lines out of order at {ln!r}")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"{path}: line {num}: non-finite coefficient {ln!r}")
-        data[i] = complex(re, im)
-    return SphericalCoeffs(L, data)
+    """Rows ``n re im``; the index ``n`` is compared by value with the row number."""
+    L, table = _read_table(path, "slm", "coefficient", lambda n: 3)
+    wrong = np.flatnonzero(table[:, 0] != np.arange(L * L))
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"{path}: coefficient row {i} has index {table[i, 0]:.17g}, expected {i}")
+    return SphericalCoeffs(L, np.ascontiguousarray(table[:, 1:]).view(np.complex128)[:, 0])
 
 
 def write_covariance(path, cov: SpectralCovariance) -> None:
-    L = cov.bandlimit
-    with open(path, "w") as fh:
-        fh.write(f"cov v1 L={L}\n")
-        for row in cov.matrix:
-            fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-            fh.write("\n")
-
-
-def _covariance_rows(path, body, n: int, size: int) -> np.ndarray:
-    """The ``n x n`` matrix of a covariance file body, parsed one row at a time.
-
-    Rows go straight into the matrix; the file's text is never held whole.
-    A wrong row count is reported before any malformed row, as it would be
-    if the rows were counted first.  ``n`` rows of ``2n`` values take at
-    least ``4 n^2 - 1`` bytes, so a file of ``size`` bytes below that cannot
-    hold the matrix: its rows are checked without allocating one.
-    """
-    if size >= 4 * n * n - 1:
-        mat = np.empty((n, n), dtype=np.complex128)
-        pairs = mat.view(np.float64)  # row i holds re, im pairs, as the file does
-    else:
-        mat = pairs = None
-    found = 0
-    bad = None  # the first malformed row's error, raised once the count is right
-    for num, ln in body:
-        i, found = found, found + 1
-        if i >= n or bad is not None:
-            continue
-        try:
-            vals = np.array(ln.split(), dtype=np.float64)
-        except ValueError as exc:
-            bad = f"line {num}: {exc}"
-            continue
-        if vals.size != 2 * n:
-            bad = f"line {num}: covariance row {i} has {vals.size} values, expected {2 * n}"
-        elif not np.isfinite(vals).all():
-            bad = f"line {num}: covariance row {i} has non-finite entries"
-        elif pairs is not None:
-            pairs[i] = vals
-    if found != n:
-        raise ValueError(f"{path}: expected {n} covariance rows, found {found}")
-    if bad is not None:
-        raise ValueError(f"{path}: {bad}")
-    return mat
+    _write_table(path, "cov", cov.bandlimit, cov.matrix.view(np.float64))
 
 
 def covariance_bandlimit(path) -> int:
@@ -130,12 +116,9 @@ def covariance_bandlimit(path) -> int:
 
 
 def read_covariance(path) -> SpectralCovariance:
-    with open(path) as fh:
-        L = _header_bandlimit(path, fh.readline(), "cov", "covariance")
-        size = os.fstat(fh.fileno()).st_size
-        mat = _covariance_rows(path, _body(fh), L * L, size)
+    L, table = _read_table(path, "cov", "covariance", lambda n: 2 * n)
     try:
-        return SpectralCovariance(L, mat)
+        return SpectralCovariance(L, table.view(np.complex128))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

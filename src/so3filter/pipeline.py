@@ -180,13 +180,14 @@ def denoise_with_diagnostics(
     est = estimate_from_components(map(filtered, range(lg * lg)), h, lf)
     if logger.isEnabledFor(logging.INFO):
         record, families = coupling.cache_info()
+        weights = hpow[:, 0] / hpow.sum()
         logger.info(
             "blocks %d empty %d truncated %d solved; coupling cache: "
             "degree-pair records %d hits %d misses %d/%d held, "
-            "%d 3j families evaluated",
+            "%d 3j families evaluated; window degree weights w_p %s",
             *diag.block_counts,
             record.hits, record.misses, record.currsize, record.maxsize,
-            families,
+            families, " ".join(f"{w:.4g}" for w in weights),
         )
     return est, diag
 

@@ -55,9 +55,10 @@ def test_parse_region_rejects_garbage():
 
 def test_read_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("# comment\nlf = 8\nregion= cap:15\n\nsnr_db=0,5\n")
+    # a "#" starts a comment only at the start of a line or after whitespace
+    cfg.write_text("# comment\nlf = 8  # desk\nregion= cap:15\n\t# indented\n\nsnr_db=0,5\nout_dir=runs#1\n")
     values = read_config(cfg)
-    assert values == {"lf": "8", "region": "cap:15", "snr_db": "0,5"}
+    assert values == {"lf": "8", "region": "cap:15", "snr_db": "0,5", "out_dir": "runs#1"}
 
 
 def test_slepian_command(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3filter import SpectralCovariance
+from so3filter import SpectralCovariance, SphericalCoeffs
 from so3filter.filtering import PSD_TOL
 from so3filter.io import (
     read_coeffs,
@@ -36,7 +36,7 @@ def test_rejects_bad_header_bandlimit(tmp_path, tag, bandlimit):
 
 @pytest.mark.parametrize(
     "bad_line, detail",
-    [("1 abc 0", "could not convert"), ("x 0 0", "invalid literal"), ("1 nan 0", "non-finite")],
+    [("1 abc 0", "could not convert"), ("x 0 0", "could not convert"), ("1 nan 0", "non-finite")],
 )
 def test_malformed_coefficient_names_file_and_line(tmp_path, bad_line, detail):
     path = tmp_path / "bad.slm"
@@ -53,6 +53,71 @@ def test_malformed_covariance_names_file_and_line(tmp_path, bad, detail):
     with pytest.raises(ValueError, match=detail) as exc:
         read_covariance(path)
     assert str(exc.value).startswith(f"{path}: line 3: ")
+
+
+READERS = {"slm": (read_coeffs, "coefficient"), "cov": (read_covariance, "covariance")}
+
+
+@pytest.mark.parametrize("tag, row", [("slm", "0 abc 0"), ("cov", "1 abc")])
+def test_row_count_is_reported_before_a_malformed_row(tmp_path, tag, row):
+    path = tmp_path / f"bad.{tag}"
+    path.write_text(f"{tag} v1 L=1\n" + f"{row}\n" * 3)
+    reader, kind = READERS[tag]
+    with pytest.raises(ValueError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}: expected 1 {kind} rows, found 3"
+
+
+@pytest.mark.parametrize(
+    "tag, row", [("slm", "0 1"), ("slm", "0 abc"), ("cov", "1 0"), ("cov", "1 abc")]
+)
+def test_oversized_header_is_rejected_without_allocating(tmp_path, tag, row):
+    # L = 1000 would need a 14.6 TiB matrix or a 24 MB table; the file holds one short row
+    path = tmp_path / f"bad.{tag}"
+    path.write_text(f"{tag} v1 L=1000\n{row}\n")
+    reader, kind = READERS[tag]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}: expected 1000000 {kind} rows, found 1"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "tag, text",
+    [
+        ("slm", "slm v1 L=1\n0 0.33333333333333331 -2.5e-300\n"),
+        ("cov", "cov v1 L=1\n0.33333333333333331 0\n"),
+    ],
+)
+def test_writers_are_byte_exact_at_bandlimit_one(tmp_path, tag, text):
+    path = tmp_path / f"one.{tag}"
+    if tag == "slm":
+        write_coeffs(path, SphericalCoeffs(1, np.array([1 / 3 - 2.5e-300j])))
+    else:
+        write_covariance(path, SpectralCovariance(1, np.array([[1 / 3]])))
+    assert path.read_bytes() == text.encode("ascii")
+
+
+@pytest.mark.parametrize("tag", ["slm", "cov"])
+def test_roundtrip_skips_blank_lines_between_rows(tmp_path, tag):
+    path = tmp_path / f"gaps.{tag}"
+    if tag == "slm":
+        value = random_coeffs(2, 7)
+        write_coeffs(path, value)
+        expected = value.data
+    else:
+        value = SpectralCovariance(2, random_psd(4, 7))
+        write_covariance(path, value)
+        expected = value.matrix
+    head, *rows = path.read_text().splitlines()
+    path.write_text(head + "\n\n" + "\n \t\n".join(rows) + "\n\n")
+    back = READERS[tag][0](path)
+    np.testing.assert_array_equal(back.data if tag == "slm" else back.matrix, expected)
 
 
 def _cov_text(mat: np.ndarray) -> str:
@@ -105,9 +170,15 @@ class TestCoeffFiles:
 
     def test_rejects_out_of_order_lines(self, tmp_path):
         path = tmp_path / "bad.slm"
-        path.write_text("slm v1 L=1\n3 0 0\n")
-        with pytest.raises(ValueError):
+        path.write_text("slm v1 L=2\n0 0 0\n\n3 0 0\n1 0 0\n2 0 0\n")
+        with pytest.raises(ValueError) as exc:
             read_coeffs(path)
+        assert str(exc.value) == f"{path}: coefficient row 1 has index 3, expected 1"
+
+    def test_index_is_compared_by_value(self, tmp_path):
+        path = tmp_path / "c.slm"
+        path.write_text("slm v1 L=1\n0.0 1 2\n")
+        np.testing.assert_array_equal(read_coeffs(path).data, [1 + 2j])
 
 
 class TestCovarianceFiles:
@@ -124,28 +195,6 @@ class TestCovarianceFiles:
         path.write_text("cov v1 L=2\n" + "0 0 " * 4 + "\n")
         with pytest.raises(ValueError):
             read_covariance(path)
-
-    def test_row_count_is_reported_before_a_malformed_row(self, tmp_path):
-        path = tmp_path / "bad.cov"
-        path.write_text("cov v1 L=1\n" + "1 abc\n" * 3)
-        with pytest.raises(ValueError) as exc:
-            read_covariance(path)
-        assert str(exc.value) == f"{path}: expected 1 covariance rows, found 3"
-
-    @pytest.mark.parametrize("row", ["1 0", "1 abc"])
-    def test_oversized_header_is_rejected_without_allocating(self, tmp_path, row):
-        # L = 1000 would need a 14.6 TiB matrix; the file holds one short row
-        path = tmp_path / "bad.cov"
-        path.write_text(f"cov v1 L=1000\n{row}\n")
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError) as exc:
-                read_covariance(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(exc.value) == f"{path}: expected 1000000 covariance rows, found 1"
-        assert peak < 2**20
 
     def test_shortest_valid_file_is_read(self, tmp_path):
         # one-character values, single separators, no final newline: the

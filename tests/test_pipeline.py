@@ -286,6 +286,10 @@ class TestDenoise:
         assert empty + truncated + solved == 4 * 4 * 2  # lg**2 * lh blocks
         assert empty > 0 and solved > 0
         assert f"blocks {empty} empty {truncated} truncated {solved} solved" in record.getMessage()
+        # w_p = hpow[p] / sum(hpow), hpow[p] = sum_q' |h_p^q'|^2 over the l = p slice of h
+        hpow = np.array([np.sum(np.abs(h.data[p * p : (p + 1) ** 2]) ** 2) for p in range(2)])
+        weights = " ".join(f"{w:.4g}" for w in hpow / hpow.sum())
+        assert record.getMessage().endswith(f"; window degree weights w_p {weights}")
 
     def test_estimate_norm_bounded_by_operator_norm(self):
         lf, lh = 4, 2
