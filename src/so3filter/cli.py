@@ -196,8 +196,10 @@ def _cmd_benchmark(args) -> int:
     cfg, values = _benchmark_config(args)
     if args.preset == "full":
         logger.warning(
-            "full-scale preset (lf=%d, lh=%d): expect about 5 minutes per denoise and "
-            "1,100 MB of RAM (set-up and a denoise took 264 s and 314 s on a 2-core x86_64 machine)",
+            "full-scale preset (lf=%d, lh=%d): expect about 2.5 minutes per denoise on 2 CPUs "
+            "and 1,100 MB of RAM; each denoise worker peaks near 660 MB, most of it the covariances "
+            "that it shares with this process "
+            "(set-up and a denoise took 156 s on a 2-core x86_64 machine)",
             cfg.lf, cfg.lh,
         )
     if values.get("signal"):

@@ -51,18 +51,34 @@ def accumulate_component(acc: np.ndarray, u: int, nh: np.ndarray, lf: int, lh: i
     acc += scatter_sum(nn, coef[slot] * tv, acc.size)
 
 
-def estimate_from_components(components, h: SphericalCoeffs, lf: int) -> SphericalCoeffs:
-    """Least-squares source estimate from the window contractions ``nh(u)``.
+def _shell_partial(v: int, contraction, lf: int, lh: int) -> np.ndarray:
+    """``sum_u <nu(.; u), psi_{u,n}>`` over the ``2v+1`` indices ``u`` of shell ``v``.
 
-    ``components`` yields one ``(lh, 2lh-1)`` array per ``u`` in order; it
-    may be lazy, since each is used once and then dropped.
+    The sum starts from zero, so it does not depend on any other shell.
+    """
+    acc = np.zeros(lf * lf, dtype=np.complex128)
+    for u in range(v * v, (v + 1) ** 2):
+        accumulate_component(acc, u, contraction(u), lf, lh)
+    return acc
+
+
+def estimate_from_components(contraction, h: SphericalCoeffs, lf: int, map_shells=map) -> SphericalCoeffs:
+    """Least-squares source estimate from the window contractions ``nh(u) = contraction(u)``.
+
+    Each shell ``v``, the indices ``u`` from ``v**2`` to ``(v+1)**2 - 1``,
+    is summed into a partial of its own, and the partials are added in ``v``
+    order.  ``map_shells(fn, shells)`` returns ``fn(v)`` for every shell in
+    order, like ``map``; it may compute them elsewhere, and since a partial
+    depends on its shell alone the estimate has the same bits however the
+    shells are split.  Each contraction is used once and then dropped.
     """
     hh = float(np.sum(np.abs(h.data) ** 2))
     if hh == 0.0:
         raise ValueError("window must be nonzero")
+    lh = h.bandlimit
     acc = np.zeros(lf * lf, dtype=np.complex128)
-    for u, nh in enumerate(components):
-        accumulate_component(acc, u, nh, lf, h.bandlimit)
+    for part in map_shells(lambda v: _shell_partial(v, contraction, lf, lh), range(lf + lh - 1)):
+        acc += part
     return SphericalCoeffs(lf, acc / (2.0 * math.pi * hh))
 
 
@@ -73,5 +89,4 @@ def estimate_from_representation(
     if h.bandlimit != rep.lh:
         raise ValueError("window bandlimit does not match the representation")
     hb_conj = np.conj(window_blocks(h))[:, :, None]
-    contractions = ((cube @ hb_conj)[..., 0] for cube in rep.data)
-    return estimate_from_components(contractions, h, rep.lf)
+    return estimate_from_components(lambda u: (rep.data[u] @ hb_conj)[..., 0], h, rep.lf)

@@ -68,10 +68,12 @@ class SpectralCovariance:
         self._admit(self.bandlimit, np.array(self.matrix, dtype=np.complex128, order="C"), eigensolve=True)
 
     @classmethod
-    def _adopt(cls, bandlimit: int, matrix: np.ndarray) -> "SpectralCovariance":
-        """The checks but the eigensolve, for a ``complex128`` C array that is PSD by
-        construction, taken over with its Hermitian part formed in place."""
-        return cls.__new__(cls)._admit(bandlimit, matrix, eigensolve=False)
+    def _adopt(cls, bandlimit: int, matrix: np.ndarray, eigensolve: bool = False) -> "SpectralCovariance":
+        """The checks, without a copy, for a fresh ``complex128`` C array taken over
+        with its Hermitian part formed in place.  The eigensolve runs only if
+        asked: the package's own products are PSD by construction, a parsed
+        file is not."""
+        return cls.__new__(cls)._admit(bandlimit, matrix, eigensolve)
 
     def _admit(self, bandlimit: int, mat: np.ndarray, eigensolve: bool) -> "SpectralCovariance":
         if bandlimit < 1:

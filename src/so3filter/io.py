@@ -6,9 +6,10 @@ finite floats, written in ``.17g`` by one writer and read by one reader.
 * Coefficients (``slm``): rows ``n re im``, the index ``n`` equal in value
   to the row number.
 * Covariance (``cov``): rows of ``2*L**2`` floats (``re im`` pairs,
-  row-major).  The matrix goes to ``SpectralCovariance``, which rejects one
-  that is not Hermitian positive semidefinite; the reader adds only the
-  file's path to its message.
+  row-major).  The parsed table itself becomes the ``SpectralCovariance``,
+  with no copy, and the covariance gate still rejects a matrix that is not
+  Hermitian positive semidefinite; the reader adds only the file's path to
+  its message.
 * Rasters: binary 8-bit PGM.
 """
 
@@ -118,7 +119,7 @@ def covariance_bandlimit(path) -> int:
 def read_covariance(path) -> SpectralCovariance:
     L, table = _read_table(path, "cov", "covariance", lambda n: 2 * n)
     try:
-        return SpectralCovariance(L, table.view(np.complex128))
+        return SpectralCovariance._adopt(L, table.view(np.complex128), eigensolve=True)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

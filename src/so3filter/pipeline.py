@@ -16,9 +16,16 @@ power ``sum_q' |(h)_p^{q'}|^2``.
 
 from __future__ import annotations
 
+import functools
 import io as _io
 import logging
 import math
+import os
+import pickle
+import select
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +42,14 @@ from .sphere import SphericalCoeffs, _lm_index, synthesize
 logger = logging.getLogger(__name__)
 
 _TEST_SIGNAL_SLOPE = 2.0  # power-law slope of the test signal's degree spectrum
+
+# A denoise's shell cost in blocks: one (u, p) block costs about as much as
+# this many triple-product candidates (fit to per-shell times at desk and mid).
+_ROWS_PER_BLOCK = 30
+
+# Blocks that each denoise worker needs to pay for its fork: on a 2-core
+# x86_64 machine two workers broke even with one between 147 and 192 blocks.
+_BLOCKS_PER_WORKER = 100
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -151,6 +166,125 @@ def calibrate_snr(
     return SphericalCoeffs(z.bandlimit, alpha * z.data), alpha
 
 
+def _worker_count(lf: int, lh: int) -> int:
+    """Processes that one denoise of bandlimits ``lf``, ``lh`` runs on.
+
+    One per CPU in ``os.sched_getaffinity(0)``, with ``_BLOCKS_PER_WORKER``
+    of the ``(lf + lh - 1)**2 * lh`` blocks per worker at least.  Serial
+    where that call does not exist (no Linux ``fork``) and while the caller
+    runs other threads, which a fork would copy in whatever state they are.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    blocks = (lf + lh - 1) ** 2 * lh
+    return max(1, min(len(os.sched_getaffinity(0)), blocks // _BLOCKS_PER_WORKER))
+
+
+def _shell_costs(lf: int, lh: int) -> np.ndarray:
+    """Modelled cost of each shell ``v`` of a denoise, in blocks.
+
+    A shell's ``(2v+1) lh`` blocks each count one, and its triple-product
+    candidates (parity zeros included) ``1 / _ROWS_PER_BLOCK`` each.
+    """
+    lg = lf + lh - 1
+    v = np.repeat(np.arange(lg), 2 * np.arange(lg) + 1)
+    w = np.arange(lg * lg) - v * (v + 1)
+    rows = np.zeros(lg * lg)
+    for p in range(lh):
+        lmin = np.maximum(np.abs(v - p)[:, None], np.abs(w[:, None] - np.arange(-p, p + 1)))
+        rows += np.maximum(np.minimum(v + p, lf - 1)[:, None] + 1 - lmin, 0).sum(axis=1)
+    return np.bincount(v, lh + rows / _ROWS_PER_BLOCK)
+
+
+@functools.lru_cache(maxsize=16)
+def _slabs(lf: int, lh: int, workers: int) -> tuple[range, ...]:
+    """At most ``workers`` contiguous ranges of shells of about equal modelled cost."""
+    cum = np.concatenate(([0.0], np.cumsum(_shell_costs(lf, lh))))
+    cuts = [int(np.abs(cum - cum[-1] * i / workers).argmin()) for i in range(1, workers)]
+    bounds = [0, *cuts, cum.size - 1]
+    return tuple(range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a)
+
+
+def _fork_slab(fn, slab: range, diag: FilterDiagnostics):
+    """Run ``fn`` over ``slab`` in a forked child; returns ``(pid, pipe, slab)``.
+
+    The child pickles into the pipe either the list of results, its rows of
+    ``diag`` and its deltas of ``coupling.cache_info()``, or the text of the
+    traceback it raised, and ends with ``os._exit``.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        # The child never returns or raises into the caller's frames.
+        status = 1
+        try:
+            os.close(r)
+            rows = slice(slab.start**2, slab.stop**2)
+            (hits0, misses0, *_), families0 = coupling.cache_info()
+            try:
+                parts = [fn(v) for v in slab]
+                (hits, misses, *_), families = coupling.cache_info()
+                msg = (parts, diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows],
+                       (hits - hits0, misses - misses0, families - families0))
+            except BaseException:
+                msg = traceback.format_exc()
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(msg, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb"), slab
+
+
+def _map_slabs(fn, slabs: tuple[range, ...], diag: FilterDiagnostics, counts: list, idle=()) -> list:
+    """``fn(v)`` for every shell of ``slabs``, in order, with ``diag`` filled in.
+
+    This process runs the first slab and one forked child runs each other
+    one.  A child's rows of ``diag`` are copied here, and its record hits,
+    misses and 3j families are added to ``counts``.  Having run its slab,
+    this process builds the records ``(p, v, lf)`` of ``idle`` in order
+    until every child has begun to send.  If anything fails, every child is
+    killed; every child is reaped before this returns or raises.
+    """
+    children = []
+    try:
+        for slab in slabs[1:]:
+            children.append(_fork_slab(fn, slab, diag))
+        out = [fn(v) for v in slabs[0]]
+        pipes = [pipe for _, pipe, _ in children]
+        for key in idle:
+            if len(select.select(pipes, [], [], 0)[0]) == len(pipes):
+                break
+            coupling._pair_record(*key)
+        for _, pipe, slab in children:
+            try:
+                msg = pickle.load(pipe)
+            except EOFError:
+                msg = "the worker ended without sending a result"
+            if isinstance(msg, str):
+                raise RuntimeError(f"denoise worker for shells {slab.start}-{slab.stop - 1} failed:\n{msg}")
+            parts, rank, cond, flag, sums = msg
+            rows = slice(slab.start**2, slab.stop**2)
+            diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows] = rank, cond, flag
+            counts[:] = [a + b for a, b in zip(counts, sums)]
+            out += parts
+        return out
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def denoise_with_diagnostics(
     f: SphericalCoeffs,
     cs: SpectralCovariance,
@@ -163,6 +297,8 @@ def denoise_with_diagnostics(
     ``n x n`` array: each block gathers its core from the two covariances,
     and the components stream.  It reads the window only through its per-degree
     power ``sum_q' |(h)_p^{q'}|^2``: a rotated window gives the same estimate.
+    The shells of ``u`` run as contiguous slabs, one per worker process (see
+    ``_worker_count``); the estimate has the same bits for any number of them.
     """
     lf = f.bandlimit
     if cs.bandlimit != lf or cz.bandlimit != lf:
@@ -177,17 +313,28 @@ def denoise_with_diagnostics(
         zeta = design_component(u, cs, cz, lf, lh, diag)
         return (zeta @ forward_component(u, f, lh)[..., None])[..., 0] * hpow
 
-    est = estimate_from_components(map(filtered, range(lg * lg)), h, lf)
+    slabs = _slabs(lf, lh, _worker_count(lf, lh))
+    counts = [0, 0, 0]  # the workers' record hits and misses and 3j families
+    # The records that the workers build die with them.  If the whole denoise
+    # fits the cache, this process builds them while it waits for the
+    # workers, so a later denoise forks them with the records cached.
+    idle = []
+    if lg * lh <= coupling.cache_info()[0].maxsize:
+        idle = [(p, v, lf) for v in range(slabs[0].stop, lg) for p in range(lh)]
+    est = estimate_from_components(
+        filtered, h, lf, lambda fn, _: _map_slabs(fn, slabs, diag, counts, idle)
+    )
     if logger.isEnabledFor(logging.INFO):
+        # this process's running counts plus those of this denoise's workers
         record, families = coupling.cache_info()
         weights = hpow[:, 0] / hpow.sum()
         logger.info(
-            "blocks %d empty %d truncated %d solved; coupling cache: "
+            "blocks %d empty %d truncated %d solved; %d worker%s; coupling cache: "
             "degree-pair records %d hits %d misses %d/%d held, "
             "%d 3j families evaluated; window degree weights w_p %s",
-            *diag.block_counts,
-            record.hits, record.misses, record.currsize, record.maxsize,
-            families, " ".join(f"{w:.4g}" for w in weights),
+            *diag.block_counts, len(slabs), "" if len(slabs) == 1 else "s",
+            record.hits + counts[0], record.misses + counts[1], record.currsize, record.maxsize,
+            families + counts[2], " ".join(f"{w:.4g}" for w in weights),
         )
     return est, diag
 

@@ -83,7 +83,8 @@ def test_cap_window_allocates_little_beyond_its_vectors():
 def test_read_covariance_streams_the_file(tmp_path):
     path = tmp_path / "desk.cov"
     write_covariance(path, NoiseModel.random(LF, 3).covariance())
-    assert _peak_in_matrices(lambda: read_covariance(path)) <= 3.0
+    # the parsed table becomes the covariance: 1.19 measured, 2.19 with a copy
+    assert _peak_in_matrices(lambda: read_covariance(path)) <= 1.25
     assert np.array_equal(read_covariance(path).matrix, NoiseModel.random(LF, 3).covariance().matrix)
 
 
