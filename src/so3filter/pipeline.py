@@ -16,7 +16,6 @@ power ``sum_q' |(h)_p^{q'}|^2``.
 
 from __future__ import annotations
 
-import functools
 import io as _io
 import logging
 import math
@@ -42,10 +41,6 @@ from .sphere import SphericalCoeffs, _lm_index, synthesize
 logger = logging.getLogger(__name__)
 
 _TEST_SIGNAL_SLOPE = 2.0  # power-law slope of the test signal's degree spectrum
-
-# A denoise's shell cost in blocks: one (u, p) block costs about as much as
-# this many triple-product candidates (fit to per-shell times at desk and mid).
-_ROWS_PER_BLOCK = 30
 
 # Blocks that each denoise worker needs to pay for its fork: on a 2-core
 # x86_64 machine two workers broke even with one between 147 and 192 blocks.
@@ -118,7 +113,17 @@ class NoiseModel:
 
     def covariance(self) -> SpectralCovariance:
         """``scale**2 T T^H``, PSD by construction, so it skips the eigensolve."""
-        mat = self.mixing @ self.mixing.conj().T
+        t = self.mixing
+        n = t.shape[0]
+        mat = np.empty_like(t)
+        # At most 16 column bands T @ T[b]^H, so no conjugate copy of T.  Bands
+        # start at multiples of 16 columns, which OpenBLAS's column blocks
+        # divide, so the bits are those of one T @ T^H; a lone last column
+        # joins the band before it, as one column would round as a gemv.
+        cols = 16 * -(-n // 256)
+        edges = [*range(0, max(n - 1, 1), cols), n]
+        for a, b in zip(edges, edges[1:]):
+            mat[:, a:b] = t @ t[a:b].conj().T
         mat *= self.scale**2
         return SpectralCovariance._adopt(self.bandlimit, mat)
 
@@ -180,37 +185,22 @@ def _worker_count(lf: int, lh: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), blocks // _BLOCKS_PER_WORKER))
 
 
-def _shell_costs(lf: int, lh: int) -> np.ndarray:
-    """Modelled cost of each shell ``v`` of a denoise, in blocks.
+def _deal(shells: int, workers: int) -> tuple[range, ...]:
+    """Shells ``0`` to ``shells - 1`` dealt round-robin to at most ``workers`` slots.
 
-    A shell's ``(2v+1) lh`` blocks each count one, and its triple-product
-    candidates (parity zeros included) ``1 / _ROWS_PER_BLOCK`` each.
+    Slot ``k`` holds ``shells - 1 - k``, ``shells - 1 - k - workers``, ...;
+    the last, this process's, never holds the top shell if there are two or more.
     """
-    lg = lf + lh - 1
-    v = np.repeat(np.arange(lg), 2 * np.arange(lg) + 1)
-    w = np.arange(lg * lg) - v * (v + 1)
-    rows = np.zeros(lg * lg)
-    for p in range(lh):
-        lmin = np.maximum(np.abs(v - p)[:, None], np.abs(w[:, None] - np.arange(-p, p + 1)))
-        rows += np.maximum(np.minimum(v + p, lf - 1)[:, None] + 1 - lmin, 0).sum(axis=1)
-    return np.bincount(v, lh + rows / _ROWS_PER_BLOCK)
+    return tuple(range(shells - 1 - k, -1, -workers) for k in range(min(workers, shells)))
 
 
-@functools.lru_cache(maxsize=16)
-def _slabs(lf: int, lh: int, workers: int) -> tuple[range, ...]:
-    """At most ``workers`` contiguous ranges of shells of about equal modelled cost."""
-    cum = np.concatenate(([0.0], np.cumsum(_shell_costs(lf, lh))))
-    cuts = [int(np.abs(cum - cum[-1] * i / workers).argmin()) for i in range(1, workers)]
-    bounds = [0, *cuts, cum.size - 1]
-    return tuple(range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a)
+def _fork_shells(fn, shells: range, diag: FilterDiagnostics):
+    """Run ``fn`` over ``shells`` in a forked child; returns ``(pid, pipe)``.
 
-
-def _fork_slab(fn, slab: range, diag: FilterDiagnostics):
-    """Run ``fn`` over ``slab`` in a forked child; returns ``(pid, pipe, slab)``.
-
-    The child pickles into the pipe either the list of results, its rows of
-    ``diag`` and its deltas of ``coupling.cache_info()``, or the text of the
-    traceback it raised, and ends with ``os._exit``.
+    The child pickles into the pipe either the list of results, the indices
+    ``u`` of its shells with their rows of ``diag`` and its deltas of
+    ``coupling.cache_info()``, or the text of the traceback it raised, and
+    ends with ``os._exit``.
     """
     r, w = os.pipe()
     try:
@@ -224,12 +214,12 @@ def _fork_slab(fn, slab: range, diag: FilterDiagnostics):
         status = 1
         try:
             os.close(r)
-            rows = slice(slab.start**2, slab.stop**2)
+            rows = np.concatenate([np.arange(v * v, (v + 1) ** 2) for v in shells])
             (hits0, misses0, *_), families0 = coupling.cache_info()
             try:
-                parts = [fn(v) for v in slab]
+                parts = [fn(v) for v in shells]
                 (hits, misses, *_), families = coupling.cache_info()
-                msg = (parts, diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows],
+                msg = (parts, rows, diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows],
                        (hits - hits0, misses - misses0, families - families0))
             except BaseException:
                 msg = traceback.format_exc()
@@ -239,48 +229,54 @@ def _fork_slab(fn, slab: range, diag: FilterDiagnostics):
         finally:
             os._exit(status)
     os.close(w)
-    return pid, os.fdopen(r, "rb"), slab
+    return pid, os.fdopen(r, "rb")
 
 
-def _map_slabs(fn, slabs: tuple[range, ...], diag: FilterDiagnostics, counts: list, idle=()) -> list:
-    """``fn(v)`` for every shell of ``slabs``, in order, with ``diag`` filled in.
+def _map_shells(fn, slots: tuple[range, ...], diag: FilterDiagnostics, counts: list, idle=()) -> list:
+    """``fn(v)`` for every shell of ``slots``, in ``v`` order, with ``diag`` filled in.
 
-    This process runs the first slab and one forked child runs each other
+    This process runs the last slot and one forked child runs each other
     one.  A child's rows of ``diag`` are copied here, and its record hits,
-    misses and 3j families are added to ``counts``.  Having run its slab,
+    misses and 3j families are added to ``counts``.  Having run its slot,
     this process builds the records ``(p, v, lf)`` of ``idle`` in order
     until every child has begun to send.  If anything fails, every child is
-    killed; every child is reaped before this returns or raises.
+    killed; every child is reaped, a dead one named with its exit status.
     """
-    children = []
+    children = {}
     try:
-        for slab in slabs[1:]:
-            children.append(_fork_slab(fn, slab, diag))
-        out = [fn(v) for v in slabs[0]]
-        pipes = [pipe for _, pipe, _ in children]
+        for shells in slots[:-1]:
+            pid, pipe = _fork_shells(fn, shells, diag)
+            children[pid] = (pipe, shells)
+        out = {v: fn(v) for v in slots[-1]}
+        pipes = [pipe for pipe, _ in children.values()]
         for key in idle:
             if len(select.select(pipes, [], [], 0)[0]) == len(pipes):
                 break
             coupling._pair_record(*key)
-        for _, pipe, slab in children:
+        for pid, (pipe, shells) in list(children.items()):
             try:
                 msg = pickle.load(pipe)
-            except EOFError:
-                msg = "the worker ended without sending a result"
+            except (EOFError, pickle.UnpicklingError):
+                msg = None
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if msg is None:
+                end = f"signal {-code}" if code < 0 else f"exit code {code}"
+                msg = f"the worker ended without a whole result, {end}"
             if isinstance(msg, str):
-                raise RuntimeError(f"denoise worker for shells {slab.start}-{slab.stop - 1} failed:\n{msg}")
-            parts, rank, cond, flag, sums = msg
-            rows = slice(slab.start**2, slab.stop**2)
+                raise RuntimeError(f"denoise worker for shells {', '.join(map(str, shells))} failed:\n{msg}")
+            parts, rows, rank, cond, flag, sums = msg
             diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows] = rank, cond, flag
             counts[:] = [a + b for a, b in zip(counts, sums)]
-            out += parts
-        return out
+            out.update(zip(shells, parts))
+        return [out[v] for v in sorted(out)]
     except BaseException:
-        for pid, _, _ in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe, _ in children:
+        for pid, (pipe, _) in children.items():
             pipe.close()
             os.waitpid(pid, 0)
 
@@ -297,7 +293,7 @@ def denoise_with_diagnostics(
     ``n x n`` array: each block gathers its core from the two covariances,
     and the components stream.  It reads the window only through its per-degree
     power ``sum_q' |(h)_p^{q'}|^2``: a rotated window gives the same estimate.
-    The shells of ``u`` run as contiguous slabs, one per worker process (see
+    The shells of ``u`` are dealt round-robin to the worker processes (see
     ``_worker_count``); the estimate has the same bits for any number of them.
     """
     lf = f.bandlimit
@@ -313,16 +309,16 @@ def denoise_with_diagnostics(
         zeta = design_component(u, cs, cz, lf, lh, diag)
         return (zeta @ forward_component(u, f, lh)[..., None])[..., 0] * hpow
 
-    slabs = _slabs(lf, lh, _worker_count(lf, lh))
+    slots = _deal(lg, _worker_count(lf, lh))
     counts = [0, 0, 0]  # the workers' record hits and misses and 3j families
     # The records that the workers build die with them.  If the whole denoise
     # fits the cache, this process builds them while it waits for the
     # workers, so a later denoise forks them with the records cached.
     idle = []
     if lg * lh <= coupling.cache_info()[0].maxsize:
-        idle = [(p, v, lf) for v in range(slabs[0].stop, lg) for p in range(lh)]
+        idle = [(p, v, lf) for v in range(lg) if v not in slots[-1] for p in range(lh)]
     est = estimate_from_components(
-        filtered, h, lf, lambda fn, _: _map_slabs(fn, slabs, diag, counts, idle)
+        filtered, h, lf, lambda fn, _: _map_shells(fn, slots, diag, counts, idle)
     )
     if logger.isEnabledFor(logging.INFO):
         # this process's running counts plus those of this denoise's workers
@@ -332,7 +328,7 @@ def denoise_with_diagnostics(
             "blocks %d empty %d truncated %d solved; %d worker%s; coupling cache: "
             "degree-pair records %d hits %d misses %d/%d held, "
             "%d 3j families evaluated; window degree weights w_p %s",
-            *diag.block_counts, len(slabs), "" if len(slabs) == 1 else "s",
+            *diag.block_counts, len(slots), "" if len(slots) == 1 else "s",
             record.hits + counts[0], record.misses + counts[1], record.currsize, record.maxsize,
             families + counts[2], " ".join(f"{w:.4g}" for w in weights),
         )

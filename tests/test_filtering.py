@@ -122,7 +122,8 @@ class TestCovarianceType:
         assert np.abs(cov.matrix - product).max() <= 1e-15 * np.abs(product).max()
         assert cov.matrix.flags.c_contiguous and not cov.matrix.flags.writeable
 
-    @pytest.mark.parametrize("lf", [4, 8, 16])
+    # lf = 7 (n = 49 = 3 * 16 + 1) builds a noise covariance from bands with a lone last column
+    @pytest.mark.parametrize("lf", [4, 7, 8, 16])
     @pytest.mark.parametrize("kind", PACKAGE_BUILT)
     def test_package_built_covariances_pass_the_checked_rule_bit_for_bit(self, kind, lf):
         cov, product = _package_built(kind, lf)

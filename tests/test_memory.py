@@ -62,6 +62,13 @@ def test_noise_model_covariance_stays_within_four_matrices():
     assert _peak_in_matrices(lambda: NoiseModel.random(LF, 3).covariance()) <= 4.0
 
 
+def test_noise_model_covariance_holds_no_conjugate_copy_of_the_mixing_matrix():
+    # 1.19 measured: the product, its column bands and the gate's row bands;
+    # a conjugate copy of the mixing matrix would read 2.00
+    model = NoiseModel.random(LF, 3)
+    assert _peak_in_matrices(model.covariance) <= 1.25
+
+
 def test_warm_desk_denoise_allocates_under_one_and_a_quarter_matrices():
     s = make_test_signal(LF, 1)
     h = slepian_window(PolarCap(math.radians(15.0)), 8).window()

@@ -1,14 +1,17 @@
 """Denoise worker processes: the estimate, the diagnostics and the cleanup.
 
-A denoise splits the shells ``v`` of its harmonic index ``u`` into contiguous
-slabs; this process runs the first and a forked worker each other one.  The
-worker count comes from ``pipeline._worker_count``, which these tests
-replace to force 1, 2 or 3 workers whatever the machine has.
+A denoise deals the shells ``v`` of its harmonic index ``u`` round-robin to
+its workers, top shell first; this process runs the last slot and a forked
+worker each other one.  The worker count comes from
+``pipeline._worker_count``, which these tests replace to force 1 to 4
+workers whatever the machine has.
 """
 
 import logging
 import math
 import os
+import pickle
+import signal
 import threading
 
 import numpy as np
@@ -50,12 +53,25 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _on_first_shell(monkeypatch, shells, action):
+    """Make ``design_component`` call ``action()`` at the first ``u`` of ``shells``."""
+    first = shells[0] ** 2
+    design = pipeline.design_component
+
+    def acting(u, *rest):
+        if u == first:
+            action()
+        return design(u, *rest)
+
+    monkeypatch.setattr(pipeline, "design_component", acting)
+
+
 @pytest.mark.parametrize("lf, lh", [(8, 4), (16, 8)])
 def test_estimate_and_diagnostics_do_not_depend_on_the_worker_count(monkeypatch, lf, lh):
     args = _inputs(lf, lh)
     runs = []
-    for workers in (1, 2, 3):
-        assert len(pipeline._slabs(lf, lh, workers)) == workers
+    for workers in (1, 2, 3, 4):
+        assert len(pipeline._deal(lf + lh - 1, workers)) == workers
         _force_workers(monkeypatch, workers)
         runs.append(denoise_with_diagnostics(*args))
     (est, diag), *others = runs
@@ -81,19 +97,52 @@ def test_a_failing_worker_raises_its_traceback(monkeypatch):
     lf, lh = 6, 4
     args = _inputs(lf, lh)
     _force_workers(monkeypatch, 2)
-    first = pipeline._slabs(lf, lh, 2)[1].start ** 2  # first u of the worker's slab
-    design = pipeline.design_component
+    shells = pipeline._deal(lf + lh - 1, 2)[0]  # the worker's slot
 
-    def failing(u, *rest):
-        if u == first:
-            raise ArithmeticError("forced failure in the worker's slab")
-        return design(u, *rest)
+    def fail():
+        raise ArithmeticError("forced failure in the worker's shells")
 
-    monkeypatch.setattr(pipeline, "design_component", failing)
-    with pytest.raises(RuntimeError, match="denoise worker for shells") as exc:
+    _on_first_shell(monkeypatch, shells, fail)
+    with pytest.raises(RuntimeError) as exc:
         denoise(*args)
-    assert "ArithmeticError: forced failure in the worker's slab" in str(exc.value)
+    assert f"denoise worker for shells {', '.join(map(str, shells))} failed:\n" in str(exc.value)
+    assert "ArithmeticError: forced failure in the worker's shells" in str(exc.value)
     assert "Traceback" in str(exc.value)
+    _assert_no_child_left()
+
+
+def _exit_early(monkeypatch, shells):
+    """Make the worker end with exit code 3 in its first shell."""
+    _on_first_shell(monkeypatch, shells, lambda: os._exit(3))
+
+
+def _kill_itself(monkeypatch, shells):
+    """Make the worker send itself SIGKILL in its first shell, as the OOM killer would."""
+    _on_first_shell(monkeypatch, shells, lambda: os.kill(os.getpid(), signal.SIGKILL))
+
+
+def _send_truncated(monkeypatch, shells):
+    """Make every worker send its result without the last byte."""
+    monkeypatch.setattr(pickle, "dump", lambda msg, fh, protocol: fh.write(pickle.dumps(msg, protocol)[:-1]))
+
+
+@pytest.mark.parametrize("break_worker, reason", [
+    (_exit_early, "exit code 3"),
+    (_kill_itself, "signal 9"),
+    (_send_truncated, "exit code 0"),
+], ids=["exit", "sigkill", "truncated"])
+def test_a_dead_worker_is_named_with_its_exit_status(monkeypatch, break_worker, reason):
+    lf, lh = 6, 4
+    args = _inputs(lf, lh)
+    _force_workers(monkeypatch, 2)
+    shells = pipeline._deal(lf + lh - 1, 2)[0]
+    break_worker(monkeypatch, shells)
+    with pytest.raises(RuntimeError) as exc:
+        denoise(*args)
+    assert str(exc.value) == (
+        f"denoise worker for shells {', '.join(map(str, shells))} failed:\n"
+        f"the worker ended without a whole result, {reason}"
+    )
     _assert_no_child_left()
 
 
@@ -104,12 +153,12 @@ def test_a_failure_here_kills_the_workers(monkeypatch):
     design = pipeline.design_component
 
     def failing(u, *rest):
-        if u == 0:  # slab 0 runs here, after the workers were forked
-            raise ArithmeticError("forced failure in this process's slab")
+        if u == 0:  # shell 0 runs here, after the workers were forked
+            raise ArithmeticError("forced failure in this process's shells")
         return design(u, *rest)
 
     monkeypatch.setattr(pipeline, "design_component", failing)
-    with pytest.raises(ArithmeticError, match="this process's slab"):
+    with pytest.raises(ArithmeticError, match="this process's shells"):
         denoise(*args)
     _assert_no_child_left()
 
@@ -134,13 +183,17 @@ def test_worker_count_is_serial_without_affinity(monkeypatch):
     assert pipeline._worker_count(16, 8) == 1
 
 
-def test_slabs_cover_every_shell_in_order():
-    for lf, lh, workers in ((4, 3, 1), (8, 4, 3), (16, 8, 2), (32, 12, 5)):
-        slabs = pipeline._slabs(lf, lh, workers)
-        assert [v for slab in slabs for v in slab] == list(range(lf + lh - 1))
-    # at desk the per-shell cost levels off from v = 12, so the balanced cut
-    # sits past the middle of the triple products
-    assert pipeline._slabs(16, 8, 2) == (range(0, 14), range(14, 23))
+def test_deal_gives_every_shell_once_and_evens_the_counts():
+    for lf, lh in ((1, 1), (1, 3), (4, 3), (8, 4), (16, 8), (32, 12), (64, 20)):
+        lg = lf + lh - 1
+        for workers in range(1, 6):
+            slots = pipeline._deal(lg, workers)
+            assert len(slots) == min(workers, lg)
+            assert sorted(v for slot in slots for v in slot) == list(range(lg))
+            sizes = [len(slot) for slot in slots]
+            assert max(sizes) - min(sizes) <= 1
+            if len(slots) > 1:
+                assert lg - 1 not in slots[-1]  # this process never runs the top shell
 
 
 def test_verbose_line_sums_the_workers_counts(monkeypatch, caplog):
@@ -148,21 +201,21 @@ def test_verbose_line_sums_the_workers_counts(monkeypatch, caplog):
     args = _inputs(lf, lh)
     _force_workers(monkeypatch, 2)
     sent = []
-    map_slabs = pipeline._map_slabs
+    map_shells = pipeline._map_shells
 
-    def recording(fn, slabs, diag, counts, idle=()):
-        out = map_slabs(fn, slabs, diag, counts, idle)
-        sent.append((slabs, list(counts)))
+    def recording(fn, slots, diag, counts, idle=()):
+        out = map_shells(fn, slots, diag, counts, idle)
+        sent.append((slots, list(counts)))
         return out
 
-    monkeypatch.setattr(pipeline, "_map_slabs", recording)
+    monkeypatch.setattr(pipeline, "_map_shells", recording)
     coupling._pair_record.cache_clear()
     with caplog.at_level(logging.INFO, logger="so3filter"):
         denoise_with_diagnostics(*args)
     (record,) = [r for r in caplog.records if r.name == "so3filter.pipeline"]
-    ((slabs, (hits, misses, families)),) = sent
+    ((slots, (hits, misses, families)),) = sent
     # from a cold cache the worker builds each record of its shells once
-    assert misses == len(slabs[1]) * lh and families > 0 and hits > 0
+    assert misses == len(slots[0]) * lh and families > 0 and hits > 0
     pairs, own = coupling.cache_info()
     msg = record.getMessage()
     assert "; 2 workers; " in msg
