@@ -19,8 +19,8 @@ from __future__ import annotations
 import io as _io
 import logging
 import math
+import mmap
 import os
-import pickle
 import select
 import signal
 import threading
@@ -194,13 +194,16 @@ def _deal(shells: int, workers: int) -> tuple[range, ...]:
     return tuple(range(shells - 1 - k, -1, -workers) for k in range(min(workers, shells)))
 
 
-def _fork_shells(fn, shells: range, diag: FilterDiagnostics):
-    """Run ``fn`` over ``shells`` in a forked child; returns ``(pid, pipe)``.
+def _shared_zeros(shape: tuple, dtype) -> np.ndarray:
+    """Zeros in an anonymous shared mapping, so a forked child's writes land here."""
+    return np.ndarray(shape, dtype, mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize))
 
-    The child pickles into the pipe either the list of results, the indices
-    ``u`` of its shells with their rows of ``diag`` and its deltas of
-    ``coupling.cache_info()``, or the text of the traceback it raised, and
-    ends with ``os._exit``.
+
+def _fork_shells(run, k: int):
+    """Run ``run(k)`` in a forked child; returns ``(pid, pipe)``.
+
+    The child writes into the pipe the text of the traceback if ``run``
+    raises, and ends with ``os._exit``, with status 0 only if ``run`` returned.
     """
     r, w = os.pipe()
     try:
@@ -214,63 +217,57 @@ def _fork_shells(fn, shells: range, diag: FilterDiagnostics):
         status = 1
         try:
             os.close(r)
-            rows = np.concatenate([np.arange(v * v, (v + 1) ** 2) for v in shells])
-            (hits0, misses0, *_), families0 = coupling.cache_info()
-            try:
-                parts = [fn(v) for v in shells]
-                (hits, misses, *_), families = coupling.cache_info()
-                msg = (parts, rows, diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows],
-                       (hits - hits0, misses - misses0, families - families0))
-            except BaseException:
-                msg = traceback.format_exc()
-            with os.fdopen(w, "wb") as fh:
-                pickle.dump(msg, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            run(k)
             status = 0
+        except BaseException:
+            with os.fdopen(w, "wb") as fh:
+                fh.write(traceback.format_exc().encode(errors="backslashreplace"))
         finally:
             os._exit(status)
     os.close(w)
     return pid, os.fdopen(r, "rb")
 
 
-def _map_shells(fn, slots: tuple[range, ...], diag: FilterDiagnostics, counts: list, idle=()) -> list:
-    """``fn(v)`` for every shell of ``slots``, in ``v`` order, with ``diag`` filled in.
+def _map_shells(fn, slots: tuple[range, ...], parts: np.ndarray, counts: np.ndarray, idle=()) -> np.ndarray:
+    """``parts``, with ``parts[v] = fn(v)`` for every shell of ``slots``.
 
-    This process runs the last slot and one forked child runs each other
-    one.  A child's rows of ``diag`` are copied here, and its record hits,
-    misses and 3j families are added to ``counts``.  Having run its slot,
-    this process builds the records ``(p, v, lf)`` of ``idle`` in order
-    until every child has begun to send.  If anything fails, every child is
-    killed; every child is reaped, a dead one named with its exit status.
+    This process runs the last slot and a forked child each other one; slot
+    ``k`` puts its record hits, misses and 3j families in row ``k`` of
+    ``counts``.  A child's writes show here only in shared mappings
+    (``_shared_zeros``).  Having run its slot, this process builds the
+    records ``(p, v, lf)`` of ``idle`` until every child has ended.  If
+    anything fails, every child is killed.  Every child is reaped; one whose
+    exit status is not 0 raises with its traceback, or its status if it sent none.
     """
+
+    def run(k):
+        (hits0, misses0, *_), families0 = coupling.cache_info()
+        for v in slots[k]:
+            parts[v] = fn(v)
+        (hits, misses, *_), families = coupling.cache_info()
+        counts[k] = hits - hits0, misses - misses0, families - families0
+
     children = {}
     try:
-        for shells in slots[:-1]:
-            pid, pipe = _fork_shells(fn, shells, diag)
+        for k, shells in enumerate(slots[:-1]):
+            pid, pipe = _fork_shells(run, k)
             children[pid] = (pipe, shells)
-        out = {v: fn(v) for v in slots[-1]}
+        run(len(slots) - 1)
         pipes = [pipe for pipe, _ in children.values()]
         for key in idle:
             if len(select.select(pipes, [], [], 0)[0]) == len(pipes):
                 break
             coupling._pair_record(*key)
         for pid, (pipe, shells) in list(children.items()):
-            try:
-                msg = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                msg = None
+            msg = pipe.read().decode(errors="replace")
             pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            if msg is None:
+            if code != 0:
                 end = f"signal {-code}" if code < 0 else f"exit code {code}"
-                msg = f"the worker ended without a whole result, {end}"
-            if isinstance(msg, str):
+                msg = msg or f"the worker ended without a whole result, {end}"
                 raise RuntimeError(f"denoise worker for shells {', '.join(map(str, shells))} failed:\n{msg}")
-            parts, rows, rank, cond, flag, sums = msg
-            diag.rank[rows], diag.cond[rows], diag.pinv_flag[rows] = rank, cond, flag
-            counts[:] = [a + b for a, b in zip(counts, sums)]
-            out.update(zip(shells, parts))
-        return [out[v] for v in sorted(out)]
+        return parts
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -302,15 +299,16 @@ def denoise_with_diagnostics(
     lh = h.bandlimit
     lg = lf + lh - 1
     hpow = np.sum(np.abs(window_blocks(h)) ** 2, axis=1)[:, None]  # per-degree window power
-    diag = FilterDiagnostics.zeros(lg, lh)
+    slots = _deal(lg, _worker_count(lf, lh))
+    parts = _shared_zeros((lg, lf * lf), np.complex128)
+    diag = FilterDiagnostics(*(_shared_zeros((lg * lg, lh), t) for t in (bool, np.int64, np.float64)))
+    counts = _shared_zeros((len(slots), 3), np.int64)
 
     def filtered(u: int) -> np.ndarray:
         """Window contraction ``nh(u)`` of the filtered component ``zeta(u) (tau(u) h)``."""
         zeta = design_component(u, cs, cz, lf, lh, diag)
         return (zeta @ forward_component(u, f, lh)[..., None])[..., 0] * hpow
 
-    slots = _deal(lg, _worker_count(lf, lh))
-    counts = [0, 0, 0]  # the workers' record hits and misses and 3j families
     # The records that the workers build die with them.  If the whole denoise
     # fits the cache, this process builds them while it waits for the
     # workers, so a later denoise forks them with the records cached.
@@ -318,11 +316,12 @@ def denoise_with_diagnostics(
     if lg * lh <= coupling.cache_info()[0].maxsize:
         idle = [(p, v, lf) for v in range(lg) if v not in slots[-1] for p in range(lh)]
     est = estimate_from_components(
-        filtered, h, lf, lambda fn, _: _map_shells(fn, slots, diag, counts, idle)
+        filtered, h, lf, lambda fn, _: _map_shells(fn, slots, parts, counts, idle)
     )
     if logger.isEnabledFor(logging.INFO):
-        # this process's running counts plus those of this denoise's workers
+        # the running counts here, which hold this process's row, plus the workers' rows
         record, families = coupling.cache_info()
+        counts = counts[:-1].sum(axis=0)
         weights = hpow[:, 0] / hpow.sum()
         logger.info(
             "blocks %d empty %d truncated %d solved; %d worker%s; coupling cache: "

@@ -259,8 +259,10 @@ def test_full_scale_smoke():
     z_raw = synth_noise(model, 987656)
     z, alpha = calibrate_snr(s, z_raw, 0.0)
     cs = build_signal_covariance(s)
-    cz = model.covariance().scaled(alpha**2)
-    del model  # its mixing matrix is not part of a denoise's footprint
+    c0 = model.covariance()
+    del model  # released before Cz is built, as pipeline.benchmark does
+    cz = c0.scaled(alpha**2)
+    del c0  # a denoise holds Cs and Cz only
     f = SphericalCoeffs(lf, s.data + z.data)
     est, diag = denoise_with_diagnostics(f, cs, cz, h)
     gain = snr(est, s) - snr(f, s)

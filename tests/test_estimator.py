@@ -16,6 +16,7 @@ from so3filter import (
     forward_dslsht,
 )
 from so3filter.coupling import triple_product_rows
+from so3filter.dslsht import component_rows
 from so3filter.estimator import accumulate_component
 
 from helpers import random_coeffs, random_psd
@@ -65,6 +66,21 @@ class TestRepresentationEstimate:
             basis = unit_coeffs(lf, n)
             out = estimate_from_representation(apply_filter(forward_dslsht(basis, h), filt), h)
             assert np.abs(out.data - basis.data).max() < 1e-8
+
+    def test_frame_identity_holds_degree_by_degree(self):
+        # E_p = (1/2pi) sum_u (8 pi^2 / (2p+1)) P_pu^T P_pu is the identity for
+        # every window degree p, with P_pu the degree-p rows T(.; p, q; u)
+        lf, lh = 8, 4
+        e = np.zeros((lh, lf * lf, lf * lf))
+        for u in range((lf + lh - 1) ** 2):
+            nn, tv, slot = component_rows(u, lf, lh)
+            rows = np.zeros((lh * (2 * lh - 1), lf * lf))
+            rows[slot, nn] = tv
+            for p, pu in enumerate(rows.reshape(lh, 2 * lh - 1, lf * lf)):
+                e[p] += (8.0 * math.pi**2 / (2 * p + 1)) * pu.T @ pu
+        e /= 2.0 * math.pi
+        for p in range(lh):
+            assert np.abs(e[p] - np.eye(lf * lf)).max() <= 1e-13
 
     def test_monopole_only_signal(self):
         h = random_coeffs(3, 6)

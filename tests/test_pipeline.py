@@ -197,6 +197,19 @@ class TestDenoise:
             denoise(f, build_signal_covariance(s), SpectralCovariance(lf, shifted), h)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("lf", [4, 8])
+    @pytest.mark.parametrize("hv", [1.0, 0.3 - 2.0j])
+    def test_one_coefficient_window_is_the_diagonal_wiener_filter(self, lf, hv):
+        # with lh = 1 every block's core is a single n, so the p = 0 solve has
+        # the closed form Cs_nn / (Cs_nn + Cz_nn): the diagonal Wiener filter
+        cs = SpectralCovariance(lf, random_psd(lf * lf, 71))
+        cz = SpectralCovariance(lf, random_psd(lf * lf, 72))
+        f = random_coeffs(lf, 73)
+        est = denoise(f, cs, cz, SphericalCoeffs(1, np.array([hv])))
+        a, b = np.diag(cs.matrix).real, np.diag(cz.matrix).real
+        wiener = a / (a + b) * f.data
+        assert np.abs(est.data - wiener).max() <= 1e-13 * np.abs(wiener).max()
+
     def test_zero_signal_covariance_gives_zero(self):
         f = random_coeffs(4, 32)
         h = random_coeffs(2, 33)

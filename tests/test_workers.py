@@ -10,7 +10,6 @@ workers whatever the machine has.
 import logging
 import math
 import os
-import pickle
 import signal
 import threading
 
@@ -121,16 +120,10 @@ def _kill_itself(monkeypatch, shells):
     _on_first_shell(monkeypatch, shells, lambda: os.kill(os.getpid(), signal.SIGKILL))
 
 
-def _send_truncated(monkeypatch, shells):
-    """Make every worker send its result without the last byte."""
-    monkeypatch.setattr(pickle, "dump", lambda msg, fh, protocol: fh.write(pickle.dumps(msg, protocol)[:-1]))
-
-
 @pytest.mark.parametrize("break_worker, reason", [
     (_exit_early, "exit code 3"),
     (_kill_itself, "signal 9"),
-    (_send_truncated, "exit code 0"),
-], ids=["exit", "sigkill", "truncated"])
+], ids=["exit", "sigkill"])
 def test_a_dead_worker_is_named_with_its_exit_status(monkeypatch, break_worker, reason):
     lf, lh = 6, 4
     args = _inputs(lf, lh)
@@ -203,9 +196,9 @@ def test_verbose_line_sums_the_workers_counts(monkeypatch, caplog):
     sent = []
     map_shells = pipeline._map_shells
 
-    def recording(fn, slots, diag, counts, idle=()):
-        out = map_shells(fn, slots, diag, counts, idle)
-        sent.append((slots, list(counts)))
+    def recording(fn, slots, parts, counts, idle=()):
+        out = map_shells(fn, slots, parts, counts, idle)
+        sent.append((slots, counts[0].tolist()))
         return out
 
     monkeypatch.setattr(pipeline, "_map_shells", recording)
